@@ -59,13 +59,13 @@ let machine_of_fus fus =
 
 let validate_jobs jobs =
   if jobs < 1 then invalid "--jobs must be at least 1 (got %d)" jobs;
-  let rec_domains = Domain.recommended_domain_count () in
-  let ceiling = max 1 (4 * rec_domains) in
+  let domains = Domain.recommended_domain_count () in
+  let ceiling = max 1 (4 * domains) in
   if jobs > ceiling then begin
     Format.eprintf
       "grip: warning: clamping --jobs %d to %d (4x the %d domain(s) this \
        machine supports)@."
-      jobs ceiling rec_domains;
+      jobs ceiling domains;
     ceiling
   end
   else jobs

@@ -283,11 +283,10 @@ let ( let* ) = Result.bind
 
 (* -- cross-request warm-path seeding -------------------------------------- *)
 
-(** Everything a completed run learned about a kernel that a later run
-    over the {e same lowered kernel} can reuse: the ranked heuristic
-    (which embeds the DDG heights), the post-redundancy unwound graph
-    as a program instance plus its pristine snapshot, the dominator
-    arena, and the delta-0 legality/[would_move] memo snapshot.
+(** What a completed run learned about a kernel that a later run over
+    the {e same lowered kernel} can reuse: the ranked heuristic (which
+    embeds the DDG heights) and the post-redundancy unwound graph, as a
+    program instance plus its pristine snapshot.
 
     A warm run restores the snapshot into [w_program] instead of
     unwinding and cleaning from scratch — {!Program.restore} also
@@ -302,33 +301,20 @@ type warm = {
   w_program : Program.t;  (** instance to restore into (exclusively
                               owned while the run is in flight) *)
   w_snapshot : Program.snapshot;
-  w_dom : Vliw_analysis.Dom.t option;
-  w_memo : Ctx.memo_snapshot option;
 }
 
-(** Mutable capture slots a driver hands to {!run_robust} to harvest a
-    {!warm} seed from a successful run; filled only when a pipelining
-    rung wins (memo/dominators only when a GRiP rung wins — POST
-    schedules through two contexts).  On a warm run only [c_memo] and
-    [c_dom] are filled: the caller already owns the graph. *)
+(** Mutable capture slots a driver hands to a cold {!run_robust} to
+    harvest a {!warm} seed; filled only when a pipelining rung wins (a
+    failed rung leaves them untouched). *)
 type captured = {
   mutable c_rank : Rank.t option;
   mutable c_horizon : int;
   mutable c_program : Program.t option;
   mutable c_snapshot : Program.snapshot option;
-  mutable c_dom : Vliw_analysis.Dom.t option;
-  mutable c_memo : Ctx.memo_snapshot option;
 }
 
 let fresh_capture () =
-  {
-    c_rank = None;
-    c_horizon = 0;
-    c_program = None;
-    c_snapshot = None;
-    c_dom = None;
-    c_memo = None;
-  }
+  { c_rank = None; c_horizon = 0; c_program = None; c_snapshot = None }
 
 (* Unconditional semantic check against the rolled reference: a rung
    may only win if the oracle agrees, whatever the strictness. *)
@@ -429,23 +415,12 @@ let attempt_pipelining ?warm ?capture ~obs ~rank ~horizon ~redundancy
       ~default:(Scheduler.default_config ~rank).Scheduler.max_migrations
   in
   let idx_reuses0, idx_builds0 = Node.index_counters () in
-  (* the winning GRiP context, kept for memo/dominator harvest *)
-  let ctx_ref = ref None in
   let* stats, wall_seconds =
     Budget.guard budget (fun () ->
         Obs.timed obs Trace.Schedule (fun () ->
             match method_ with
             | Grip | Grip_no_gap ->
                 let ctx = Ctx.make ~obs p ~machine ~exit_live in
-                (match warm with
-                | Some w ->
-                    Option.iter (Ctx.seed_dominators ctx) w.w_dom;
-                    Option.iter
-                      (fun snap -> ignore (Ctx.seed_memo ctx snap))
-                      w.w_memo
-                | None -> ());
-                if capture <> None then Ctx.arm_capture ctx;
-                ctx_ref := Some ctx;
                 let base = Scheduler.default_config ~rank in
                 let config =
                   {
@@ -458,8 +433,6 @@ let attempt_pipelining ?warm ?capture ~obs ~rank ~horizon ~redundancy
                 in
                 Grip_stats (Scheduler.run config ctx)
             | Post ->
-                (* two contexts (unconstrained + real) — memo capture
-                   and seeding do not apply; the graph/rank seed does *)
                 let ctx_unlimited =
                   Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
                 in
@@ -523,21 +496,13 @@ let attempt_pipelining ?warm ?capture ~obs ~rank ~horizon ~redundancy
   let* () = oracle_final ~kernel ~mstr ~data ~n:(horizon - 2) k p in
   (* the rung won — publish the seedable artifacts (partial fills are
      never published: a failed rung leaves the capture untouched) *)
-  (match capture with
-  | Some c ->
+  (match (capture, pristine) with
+  | Some c, Some s ->
       c.c_rank <- Some rank;
       c.c_horizon <- horizon;
-      (match pristine with
-      | Some s ->
-          c.c_program <- Some p;
-          c.c_snapshot <- Some s
-      | None -> ());
-      (match !ctx_ref with
-      | Some ctx ->
-          c.c_memo <- Ctx.capture ctx;
-          c.c_dom <- Option.map snd ctx.Ctx.dom_cache
-      | None -> ())
-  | None -> ());
+      c.c_program <- Some p;
+      c.c_snapshot <- Some s
+  | _ -> ());
   observe_occupancy obs machine p rows;
   Ok
     {

@@ -69,71 +69,12 @@ let cells_of doc =
             fields)
     loops
 
-(* Schema /7 added a per-cell [cache] block (warm-path memo counters).
-   Older artifacts simply lack it and diff fine; when present it must
-   be an object of numeric fields — a malformed block is a corrupted
-   artifact, not a schema skew to tolerate silently. *)
-let validate_cache_blocks label doc =
-  let loops =
-    Option.value ~default:[]
-      (Option.bind (Json.member "loops" doc) Json.to_list)
-  in
-  List.fold_left
-    (fun acc loop ->
-      if acc <> None then acc
-      else
-        let name =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "name" loop) Json.to_str)
-        in
-        let fields = match loop with Json.Obj kvs -> kvs | _ -> [] in
-        List.fold_left
-          (fun acc (field, v) ->
-            if acc <> None
-               || String.length field <= 2
-               || String.sub field 0 2 <> "fu"
-            then acc
-            else
-              List.fold_left
-                (fun acc tech ->
-                  if acc <> None then acc
-                  else
-                    match
-                      Option.bind (Json.member tech v) (Json.member "cache")
-                    with
-                    | None -> None
-                    | Some (Json.Obj kvs) ->
-                        List.fold_left
-                          (fun acc (k, cv) ->
-                            if acc <> None then acc
-                            else
-                              match Json.to_float cv with
-                              | Some _ -> None
-                              | None ->
-                                  Some
-                                    (Printf.sprintf
-                                       "%s: %s/%s/%s: cache field %s is not \
-                                        numeric"
-                                       label name field tech k))
-                          None kvs
-                    | Some _ ->
-                        Some
-                          (Printf.sprintf
-                             "%s: %s/%s/%s: cache block is not an object" label
-                             name field tech))
-                acc [ "grip"; "post" ])
-          acc fields)
-    None loops
-
 let parse_artifact label contents =
   match Json.parse contents with
   | Error e -> Error (Printf.sprintf "%s: invalid JSON: %s" label e)
   | Ok doc -> (
       match schema_version doc with
-      | Some v when v >= 1 -> (
-          match validate_cache_blocks label doc with
-          | Some e -> Error e
-          | None -> Ok doc)
+      | Some v when v >= 1 -> Ok doc
       | Some v -> Error (Printf.sprintf "%s: unsupported schema version %d" label v)
       | None -> Error (Printf.sprintf "%s: not a grip.bench.table1 artifact" label))
 

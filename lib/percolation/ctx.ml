@@ -42,46 +42,6 @@ type t = {
       (** > 0 inside {!defer_gc}: collections requested by committed
           moves are batched until the region exits *)
   mutable gc_pending : bool;
-  mutable capture_base : int;
-      (** program version the memo-capture hook is armed for
-          ([-1] = off): when [legality_sync] is about to clear verdicts
-          computed against this version, it snapshots them first (see
-          {!memo_snapshot}) *)
-  mutable captured : memo_snapshot option;
-  mutable capture_nodes : int;
-      (** live node count of the armed pristine graph, recorded at
-          {!arm_capture} time — by the first [legality_sync] clear the
-          program has already mutated, so reading it there would stamp
-          the snapshot with the wrong graph shape *)
-  mutable seeded_version : int;
-      (** program version whose verdict tables were installed from a
-          cross-request snapshot; hits at this version are counted as
-          [legality.memo_reused] *)
-}
-
-(** A portable copy of the versioned [would_move] verdict tables, taken
-    against the {e pristine} (pre-scheduling) graph of a run so a later
-    run over a byte-identical graph can start with them pre-filled.
-
-    Validity is explicit rather than assumed: [ms_delta] must be [0]
-    (the verdicts were computed before any committed move — a bumped
-    delta means the graph they speak for no longer exists), [ms_nodes]
-    must equal the seeding program's live node count, and [ms_width]
-    records the machine the full tables speak for.  Legality is
-    machine-dependent ({!Move_op.check} consults
-    [Machine.room_for_packed]), so seeding under a {e different} width
-    installs only the machine-invariant subset: failures raised by the
-    adjacency / guard / dependence steps, which run {e before} the
-    resource check and therefore reproduce identically on any machine.
-    [Ok], [No_room] and [Write_live] verdicts are never shared across
-    widths. *)
-and memo_snapshot = {
-  ms_width : int;  (** issue width the full verdicts were computed under *)
-  ms_nodes : int;  (** live node count of the graph they speak for *)
-  ms_delta : int;  (** versions committed since the pristine graph; only
-                       [0] is ever valid to seed *)
-  ms_int : (int, (unit, Legality.failure) result) Hashtbl.t;
-  ms_wide : (int * int * int, (unit, Legality.failure) result) Hashtbl.t;
 }
 
 (** [make ?rename ?obs p ~machine ~exit_live] builds a context with a
@@ -103,10 +63,6 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     scan_stamp = 0;
     gc_depth = 0;
     gc_pending = false;
-    capture_base = -1;
-    captured = None;
-    capture_nodes = -1;
-    seeded_version = -1;
   }
 
 (** [dominators t] — the dominator tree of the current program version,
@@ -137,133 +93,13 @@ let live_in t id = Vliw_analysis.Liveness.live_in t.liveness id
    so steady-state lookups and stores allocate nothing beyond the
    entries themselves (the old design minted a fresh 64-bucket table
    per program version — a top scheduler allocator). *)
-(* Verdicts computed against the armed pristine version are copied out
-   just before the clear that would lose them — the only moment the
-   delta-0 tables are both complete and about to die. *)
-let capture_if_armed t =
-  if
-    t.capture_base >= 0
-    && t.legality_version = t.capture_base
-    && t.captured = None
-    && Hashtbl.length t.legality_int + Hashtbl.length t.legality_wide > 0
-  then begin
-    let snap =
-      {
-        ms_width = Vliw_machine.Machine.width t.machine;
-        ms_nodes =
-          (if t.capture_nodes >= 0 then t.capture_nodes
-           else Program.n_nodes t.program);
-        ms_delta = 0;
-        ms_int = Hashtbl.copy t.legality_int;
-        ms_wide = Hashtbl.copy t.legality_wide;
-      }
-    in
-    t.captured <- Some snap;
-    Grip_obs.Metrics.add t.obs.Grip_obs.metrics "legality.memo_captured"
-      (Hashtbl.length snap.ms_int + Hashtbl.length snap.ms_wide)
-  end
-
 let legality_sync t =
   let v = Program.version t.program in
   if t.legality_version <> v then begin
-    capture_if_armed t;
     Hashtbl.clear t.legality_int;
     Hashtbl.clear t.legality_wide;
     t.legality_version <- v
   end
-
-(** [arm_capture t] — snapshot the verdict tables the first time they
-    are invalidated (i.e. the verdicts computed against the current,
-    pristine program version).  Call before scheduling starts. *)
-let arm_capture t =
-  t.capture_base <- Program.version t.program;
-  t.capture_nodes <- Program.n_nodes t.program
-
-(** [capture t] — the armed snapshot, if any verdicts were taken
-    against the pristine version.  A run that never advanced past the
-    armed version (no committed move) snapshots its live tables here
-    instead. *)
-let capture t =
-  if t.captured = None then capture_if_armed t;
-  t.captured
-
-(** [memo_snapshot_now t] — unconditional snapshot of the live verdict
-    tables with their {e real} delta from the armed base (tests use
-    this to manufacture stale snapshots; a positive delta is rejected
-    by {!seed_memo}). *)
-let memo_snapshot_now t =
-  {
-    ms_width = Vliw_machine.Machine.width t.machine;
-    ms_nodes = Program.n_nodes t.program;
-    ms_delta =
-      (if t.capture_base < 0 then 0 else t.legality_version - t.capture_base);
-    ms_int = Hashtbl.copy t.legality_int;
-    ms_wide = Hashtbl.copy t.legality_wide;
-  }
-
-(* Failures raised by {!Move_op.check} before its resource-room step:
-   adjacency, op lookup, guard and dependence tests read only the
-   graph, so their verdicts — and the fact that the check never
-   reached the machine-dependent steps — hold on any machine. *)
-let portable_verdict = function
-  | Error
-      Legality.(
-        ( Not_adjacent | Op_not_found | Guarded | True_dependence _
-        | Mem_dependence _ )) ->
-      true
-  | Error Legality.(Write_live _ | No_room) | Ok () -> false
-
-(** [seed_memo t snap] — install a cross-request verdict snapshot for
-    the current program version.  The snapshot must be pristine
-    ([ms_delta = 0]) and speak for a graph with the same live node
-    count; a same-width seed installs every verdict, a cross-width seed
-    only the machine-invariant subset ({!portable_verdict}).  Returns
-    the number of verdicts installed, or the reason the snapshot was
-    rejected (counted as [legality.memo_invalidated]). *)
-let seed_memo t (snap : memo_snapshot) =
-  let m = t.obs.Grip_obs.metrics in
-  let reject reason =
-    Grip_obs.Metrics.incr m "legality.memo_invalidated";
-    Error reason
-  in
-  if snap.ms_delta <> 0 then reject "stale: version delta > 0"
-  else if snap.ms_nodes <> Program.n_nodes t.program then
-    reject "graph mismatch: node count differs"
-  else begin
-    let v = Program.version t.program in
-    Hashtbl.clear t.legality_int;
-    Hashtbl.clear t.legality_wide;
-    let n = ref 0 in
-    let same_width = snap.ms_width = Vliw_machine.Machine.width t.machine in
-    let admit verdict = same_width || portable_verdict verdict in
-    Hashtbl.iter
-      (fun k verdict ->
-        if admit verdict then begin
-          Hashtbl.replace t.legality_int k verdict;
-          incr n
-        end)
-      snap.ms_int;
-    Hashtbl.iter
-      (fun k verdict ->
-        if admit verdict then begin
-          Hashtbl.replace t.legality_wide k verdict;
-          incr n
-        end)
-      snap.ms_wide;
-    t.legality_version <- v;
-    t.seeded_version <- v;
-    Grip_obs.Metrics.add m "legality.memo_seeded" !n;
-    Ok !n
-  end
-
-(** [seed_dominators t dom] — adopt a dominator-tree arena from a
-    previous run over this graph: recomputed in place against the
-    current program (the tables are already sized), then installed in
-    the version-keyed cache. *)
-let seed_dominators t dom =
-  Vliw_analysis.Dom.recompute dom t.program;
-  t.dom_cache <- Some (Program.version t.program, dom);
-  Grip_obs.Metrics.incr t.obs.Grip_obs.metrics "legality.dom_seeded"
 
 (* 21 bits per field covers node and op ids into the millions; the
    packing is exact (checked) and falls back to a boxed-tuple table
@@ -286,12 +122,7 @@ let legality_find t ~from_ ~to_ ~op_id =
   in
   let m = t.obs.Grip_obs.metrics in
   (match r with
-  | Some _ ->
-      Grip_obs.Metrics.incr m "legality.cache_hits";
-      (* a hit against tables installed by a cross-request seed is the
-         memo actually paying off *)
-      if t.seeded_version = t.legality_version then
-        Grip_obs.Metrics.incr m "legality.memo_reused"
+  | Some _ -> Grip_obs.Metrics.incr m "legality.cache_hits"
   | None -> Grip_obs.Metrics.incr m "legality.cache_misses");
   r
 

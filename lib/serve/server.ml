@@ -246,8 +246,8 @@ let finish_request ?hdr2 st conn ~id ~recv_at frame_or_err =
 
 (* A tier-1 miss scheduled through the pool, with whatever tier 2
    contributed: a full warm seed (exclusive slot checkout), just the
-   analysis (rank), or nothing; plus the capture slots a successful
-   run fills for admission. *)
+   analysis (rank), or nothing; plus, for a cold unwind, the capture
+   slots a successful run fills for admission. *)
 type task = {
   t_key : string;  (** tier-1 key (kernel + fus + method) *)
   t_kkey : string;  (** tier-2 key (kernel content alone) *)
@@ -258,8 +258,8 @@ type task = {
   t_fus : int;
   t_rank : Grip.Rank.t option;  (** analysis-hit rank, cold graph *)
   t_warm : Pipeline.warm option;
-  t_capture : Pipeline.captured option;
-  t_out : bool;  (** warm slot checked out — must be checked in *)
+      (** checked-out warm slot — must be checked in *)
+  t_capture : Pipeline.captured option;  (** cold runs only *)
 }
 
 (* One select round's schedule requests, as one supervised admission
@@ -316,31 +316,33 @@ let process_wave st pool reqs =
                         Pipeline.default_horizon
                           (Vliw_machine.Machine.homogeneous fus)
                       in
-                      let rank, warm, out, capture =
+                      let rank, warm, capture =
                         match st.store with
-                        | None -> (None, None, false, None)
+                        | None -> (None, None, None)
                         | Some store -> (
-                            let capture = Some (Pipeline.fresh_capture ()) in
-                            match
-                              Store.checkout store kkey ~horizon ~width:fus
-                            with
+                            (* a warm run restores a graph the store
+                               already holds: only cold unwinds capture *)
+                            let cold rank =
+                              (rank, None, Some (Pipeline.fresh_capture ()))
+                            in
+                            match Store.checkout store kkey ~horizon with
                             | Some (Store.Warm w) ->
                                 Metrics.incr st.registry "serve.cache.t2.hits";
                                 Trace.emit st.tracer
                                   (Trace.Request_stage
                                      { id; stage = "t2_warm" });
-                                (None, Some w, true, capture)
+                                (None, Some w, None)
                             | Some (Store.Analysis rank) ->
                                 (* kernel known, graph not reusable at
                                    this horizon (or slot in flight):
                                    reuse the analysis, unwind cold *)
                                 Metrics.incr st.registry
                                   "serve.cache.t2.analysis_hits";
-                                (Some rank, None, false, capture)
+                                cold (Some rank)
                             | None ->
                                 Metrics.incr st.registry
                                   "serve.cache.t2.misses";
-                                (None, None, false, capture))
+                                cold None)
                       in
                       Hashtbl.replace tasks key (ref [ (conn, id, recv_at) ]);
                       order :=
@@ -355,7 +357,6 @@ let process_wave st pool reqs =
                           t_rank = rank;
                           t_warm = warm;
                           t_capture = capture;
-                          t_out = out;
                         }
                         :: !order))))
     reqs;
@@ -439,8 +440,8 @@ let process_wave st pool reqs =
       (fun t result ->
         (* release the warm slot first, success or not: the pristine
            snapshot survives whatever the run did to the graph *)
-        (match st.store with
-        | Some store when t.t_out ->
+        (match (st.store, t.t_warm) with
+        | Some store, Some _ ->
             Store.checkin store t.t_kkey ~horizon:t.t_horizon
         | _ -> ());
         let waiters = List.rev !(Hashtbl.find tasks t.t_key) in
@@ -465,7 +466,7 @@ let process_wave st pool reqs =
             (match st.store with
             | Some store ->
                 Option.iter
-                  (Store.admit store t.t_kkey ~width:t.t_fus ~now:(now ()))
+                  (Store.admit store t.t_kkey ~now:(now ()))
                   t.t_capture;
                 Metrics.gauge_set st.registry "serve.cache.t2.evictions"
                   (float_of_int (Store.evictions store))

@@ -1,5 +1,5 @@
-(** Tier-2 analysis store: cross-request reuse of everything a
-    completed run learned about a lowered kernel.
+(** Tier-2 analysis store: cross-request reuse of the analysis and
+    the unwound graph of a lowered kernel.
 
     Tier 1 ({!Cache}) answers exact repeats — same kernel, same FU
     count, same technique — with the finished schedule.  This store
@@ -11,27 +11,20 @@
     - the ranked heuristic closure (embeds the DDG heights — the
       machine-independent analysis pass);
     - per unwinding horizon, a program instance plus the pristine
-      post-redundancy snapshot it can be restored from, and the
-      dominator-tree arena of the run that built it;
-    - per issue width, a delta-0 snapshot of the versioned
-      legality/[would_move] memo tables ({!Ctx.memo_snapshot}),
-      validated at seed time and shared across widths only for
-      machine-invariant verdicts.
+      post-redundancy snapshot it can be restored from.
 
     A warm checkout hands the slot to exactly one in-flight run
-    ([sl_out]); concurrent requests for the same slot fall back to the
-    cold path rather than wait.  All store operations happen on the
-    daemon's main thread — workers only ever touch the one slot they
-    checked out.
+    ([sl_out]); a concurrent request for the same slot gets the rank
+    alone and unwinds cold rather than wait.  All store operations
+    happen on the daemon's main thread — workers only ever touch the
+    one slot they checked out.
 
     Eviction is LRU over a byte budget.  Bytes are measured with
-    [Obj.reachable_words] over the whole entry (key, programs,
-    snapshots, memo tables — metadata included), re-measured on
-    check-in because a scheduled graph is bigger than its pristine
-    snapshot. *)
+    [Obj.reachable_words] over the whole entry (key, rank, programs,
+    snapshots), re-measured on check-in because a scheduled graph is
+    bigger than its pristine snapshot. *)
 
 module Pipeline = Grip.Pipeline
-module Ctx = Vliw_percolation.Ctx
 module Program = Vliw_ir.Program
 
 type slot = {
@@ -39,9 +32,6 @@ type slot = {
   sl_program : Program.t;
       (** restore target; exclusively owned while [sl_out] *)
   sl_snapshot : Program.snapshot;  (** pristine post-redundancy graph *)
-  mutable sl_dom : Vliw_analysis.Dom.t option;  (** dominator arena *)
-  mutable sl_memos : (int * Ctx.memo_snapshot) list;
-      (** issue width -> delta-0 verdict snapshot *)
   mutable sl_out : bool;  (** checked out by an in-flight run *)
 }
 
@@ -117,13 +107,13 @@ type hit =
       (** the kernel is known but no idle slot matches this horizon:
           reuse the analysis (rank/DDG), unwind cold *)
   | Warm of Pipeline.warm
-      (** exclusive checkout of the horizon slot: restore, seed, skip
-          the frontend and analysis entirely *)
+      (** exclusive checkout of the horizon slot: restore the graph,
+          skip the frontend and analysis entirely *)
 
-(** [checkout t key ~horizon ~width] — [None] on a store miss.  A
+(** [checkout t key ~horizon] — [None] on a store miss.  A
     [Warm] result checks the slot out; the caller {e must} pair it with
     {!checkin} (also on error paths) or the slot is pinned forever. *)
-let checkout t key ~horizon ~width =
+let checkout t key ~horizon =
   match Hashtbl.find_opt t.tbl key with
   | None -> None
   | Some e -> (
@@ -141,8 +131,6 @@ let checkout t key ~horizon ~width =
                  w_horizon = horizon;
                  w_program = s.sl_program;
                  w_snapshot = s.sl_snapshot;
-                 w_dom = s.sl_dom;
-                 w_memo = List.assoc_opt width s.sl_memos;
                })
       | Some _ | None -> Some (Analysis e.e_rank))
 
@@ -159,12 +147,12 @@ let checkin t key ~horizon =
       remeasure t key e;
       evict_to_budget t
 
-(** [admit t key ~width ~now capture] — fold a successful run's
+(** [admit t key ~now capture] — fold a successful cold run's
     {!Pipeline.captured} artifacts into the store: create the entry
-    and/or horizon slot when the capture carries a pristine graph, and
-    attach its memo snapshot under [width].  A capture without a rank
-    (the run degraded past the pipelining rungs) admits nothing. *)
-let admit t key ~width ~now (c : Pipeline.captured) =
+    and/or horizon slot when the capture carries a pristine graph.  A
+    capture without a rank (the run degraded past the pipelining
+    rungs) admits nothing. *)
+let admit t key ~now (c : Pipeline.captured) =
   match c.Pipeline.c_rank with
   | None -> ()
   | Some rank ->
@@ -186,40 +174,21 @@ let admit t key ~width ~now (c : Pipeline.captured) =
       in
       t.clock <- t.clock + 1;
       entry.e_last_use <- t.clock;
-      let slot =
-        match
-          List.find_opt
-            (fun s -> s.sl_horizon = c.Pipeline.c_horizon)
-            entry.e_slots
-        with
-        | Some s -> Some s
-        | None -> (
-            match (c.Pipeline.c_program, c.Pipeline.c_snapshot) with
-            | Some p, Some snap ->
-                let s =
-                  {
-                    sl_horizon = c.Pipeline.c_horizon;
-                    sl_program = p;
-                    sl_snapshot = snap;
-                    sl_dom = None;
-                    sl_memos = [];
-                    sl_out = false;
-                  }
-                in
-                entry.e_slots <- s :: entry.e_slots;
-                Some s
-            | _ -> None)
-      in
-      (match slot with
-      | None -> ()
-      | Some s ->
-          (match c.Pipeline.c_dom with
-          | Some d when s.sl_dom = None && not s.sl_out -> s.sl_dom <- Some d
-          | _ -> ());
-          (match c.Pipeline.c_memo with
-          | Some snap when not (List.mem_assoc width s.sl_memos) ->
-              s.sl_memos <- (width, snap) :: s.sl_memos
-          | _ -> ()));
+      (match (c.Pipeline.c_program, c.Pipeline.c_snapshot) with
+      | Some p, Some snap
+        when not
+               (List.exists
+                  (fun s -> s.sl_horizon = c.Pipeline.c_horizon)
+                  entry.e_slots) ->
+          entry.e_slots <-
+            {
+              sl_horizon = c.Pipeline.c_horizon;
+              sl_program = p;
+              sl_snapshot = snap;
+              sl_out = false;
+            }
+            :: entry.e_slots
+      | _ -> ());
       (* measuring traverses the slot graphs — not while a worker owns
          one; the paired checkin re-measures *)
       if not (busy entry) then begin

@@ -6,8 +6,8 @@
       compared byte-for-byte against the offline pipeline's digest;
    3. an open-loop loadgen burst of >= 1000 requests with zero
       protocol errors, a present p99 and a cache hit-rate over 50%;
-   4. the OpenMetrics exposition parses and carries the cache
-      hit/miss/eviction counters;
+   4. the OpenMetrics exposition parses, carries the cache
+      hit/miss/eviction counters and no legality memo-seeding series;
    5. a shutdown frame drains the daemon, which must exit 0. *)
 
 module Protocol = Grip_serve.Protocol
@@ -173,7 +173,21 @@ let () =
           in
           (match sample "grip_serve_cache_t2_hits" with
           | Some v -> check "tier-2 warm hits > 0" (v > 0.0)
-          | None -> check "tier-2 hit counter sampled" false)));
+          | None -> check "tier-2 hit counter sampled" false);
+          (* tier 2 restores graphs only: no legality memo or dominator
+             seeding series may appear, warm replies or not *)
+          let prefixed p s =
+            String.length s >= String.length p
+            && String.sub s 0 (String.length p) = p
+          in
+          List.iter
+            (fun f ->
+              let n = f.Openmetrics.fname in
+              check ("no memo-seeding series " ^ n)
+                (not
+                   (prefixed "grip_legality_memo_" n
+                   || prefixed "grip_legality_dom_" n)))
+            families));
   (* -- clean shutdown ------------------------------------------------------- *)
   (match Client.shutdown client with
   | Ok () -> ()

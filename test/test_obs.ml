@@ -669,6 +669,23 @@ let test_bench_diff_tolerates_gc_block () =
   Alcotest.(check int) "no regressions" 0
     (List.length (Bench_diff.regressions r))
 
+(* Schema /7 carried a per-cell cache block that /8 dropped: a /7
+   artifact that still has it diffs cleanly against a /8 one. *)
+let test_bench_diff_tolerates_dropped_cache_block () =
+  let ll1_cache =
+    {|{"name":"LL1","fu2":{"grip":{"speedup":2.5,
+        "cache":{"memo_captured":0,"memo_seeded":0,"memo_reused":0,
+                 "memo_invalidated":0,"warm_restores":0}},
+      "post":{"speedup":2}}}|}
+  in
+  let old_ = artifact ~schema:"grip.bench.table1/7" [ ll1_cache ] in
+  let new_ = artifact ~schema:"grip.bench.table1/8" [ ll1 () ] in
+  let r = diff_ok ~old_ ~new_ in
+  Alcotest.(check int) "cells" 2 (List.length r.Bench_diff.cells);
+  Alcotest.(check (list string)) "only_old" [] r.Bench_diff.only_old;
+  Alcotest.(check int) "no regressions" 0
+    (List.length (Bench_diff.regressions r))
+
 let test_bench_diff_asymmetric_cells () =
   let old_ = artifact [ ll1 (); ll5 () ] in
   let new_ =
@@ -807,6 +824,8 @@ let () =
             test_bench_diff_cross_schema;
           Alcotest.test_case "gc block tolerated" `Quick
             test_bench_diff_tolerates_gc_block;
+          Alcotest.test_case "dropped cache block tolerated" `Quick
+            test_bench_diff_tolerates_dropped_cache_block;
           Alcotest.test_case "asymmetric cells reported" `Quick
             test_bench_diff_asymmetric_cells;
           Alcotest.test_case "malformed artifacts rejected" `Quick

@@ -230,6 +230,95 @@ let cache_key_content_addressed () =
   Alcotest.(check bool) "fus changes the key" true
     (Cache.key ~fus:4 ~method_:"grip" k <> Cache.key ~fus:8 ~method_:"grip" k)
 
+(* -- tier-2 analysis store -------------------------------------------------- *)
+
+module Store = Grip_serve.Store
+
+let store_horizon = 6
+
+(* A fresh cold run's capture: every call unwinds its own graph, so
+   captures never share a slot program. *)
+let capture_of () =
+  let c = Grip.Pipeline.fresh_capture () in
+  (match
+     Grip.Pipeline.run_robust ~capture:c ~horizon:store_horizon
+       Workloads.Paper_examples.abc ~machine:(Vliw_machine.Machine.homogeneous 2)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Grip_error.to_string e));
+  c
+
+let big_budget = 1 lsl 40
+
+let store_kind = function
+  | None -> "miss"
+  | Some (Store.Analysis _) -> "analysis"
+  | Some (Store.Warm _) -> "warm"
+
+let store_checkout_exclusive () =
+  let s = Store.create ~budget_bytes:big_budget in
+  Store.admit s "k" ~now:0.0 (capture_of ());
+  let co () = store_kind (Store.checkout s "k" ~horizon:store_horizon) in
+  Alcotest.(check string) "unknown key" "miss"
+    (store_kind (Store.checkout s "nope" ~horizon:store_horizon));
+  Alcotest.(check string) "other horizon" "analysis"
+    (store_kind (Store.checkout s "k" ~horizon:(store_horizon + 1)));
+  Alcotest.(check string) "first checkout" "warm" (co ());
+  Alcotest.(check string) "slot busy" "analysis" (co ());
+  Store.checkin s "k" ~horizon:store_horizon;
+  Alcotest.(check string) "checked back in" "warm" (co ());
+  Store.checkin s "k" ~horizon:store_horizon
+
+let store_admit_needs_rank () =
+  let s = Store.create ~budget_bytes:big_budget in
+  Store.admit s "k" ~now:0.0 (Grip.Pipeline.fresh_capture ());
+  Alcotest.(check int) "nothing admitted" 0 (Store.size s);
+  Alcotest.(check int) "no bytes" 0 (Store.bytes s);
+  Alcotest.(check string) "still a miss" "miss"
+    (store_kind (Store.checkout s "k" ~horizon:store_horizon))
+
+(* Resident bytes are the sum of the per-entry measurements. *)
+let resident_sum (s : Store.t) =
+  Hashtbl.fold
+    (fun k e acc -> acc + Grip_serve.Cache.measure_bytes (k, e))
+    s.Store.tbl 0
+
+let store_lru_skips_busy () =
+  let one = Store.create ~budget_bytes:big_budget in
+  Store.admit one "a" ~now:0.0 (capture_of ());
+  let entry = Store.bytes one in
+  Alcotest.(check int) "bytes of one entry" (resident_sum one) entry;
+  (* room for two entries, not three *)
+  let s = Store.create ~budget_bytes:(entry * 5 / 2) in
+  Store.admit s "a" ~now:0.0 (capture_of ());
+  (* "a" is now the least recently used entry, and it is pinned *)
+  Alcotest.(check string) "a checked out" "warm"
+    (store_kind (Store.checkout s "a" ~horizon:store_horizon));
+  Store.admit s "b" ~now:0.0 (capture_of ());
+  Store.admit s "c" ~now:0.0 (capture_of ());
+  Alcotest.(check int) "one eviction" 1 (Store.evictions s);
+  Alcotest.(check (list string)) "busy LRU kept, next LRU evicted"
+    [ "a"; "c" ]
+    (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) s.Store.tbl []));
+  Store.checkin s "a" ~horizon:store_horizon;
+  Alcotest.(check int) "bytes match residents" (resident_sum s) (Store.bytes s);
+  (* "c" was used after "a"'s checkout, so "a" is the victim now *)
+  Store.admit s "d" ~now:0.0 (capture_of ());
+  Alcotest.(check int) "two evictions" 2 (Store.evictions s);
+  Alcotest.(check bool) "a evicted" true
+    (Store.checkout s "a" ~horizon:store_horizon = None);
+  Alcotest.(check int) "bytes match residents after eviction"
+    (resident_sum s) (Store.bytes s)
+
+let store_budget_accounting () =
+  (* a budget smaller than any entry evicts every admission at once *)
+  let s = Store.create ~budget_bytes:1 in
+  Store.admit s "a" ~now:0.0 (capture_of ());
+  Store.admit s "b" ~now:0.0 (capture_of ());
+  Alcotest.(check int) "both evicted" 2 (Store.evictions s);
+  Alcotest.(check int) "empty" 0 (Store.size s);
+  Alcotest.(check int) "no resident bytes" 0 (Store.bytes s)
+
 (* -- open-loop arrival schedule --------------------------------------------- *)
 
 let arrivals_shape () =
@@ -366,6 +455,15 @@ let () =
           Alcotest.test_case "lru eviction" `Quick cache_lru;
           Alcotest.test_case "content addressing" `Quick
             cache_key_content_addressed;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "checkout is exclusive" `Quick
+            store_checkout_exclusive;
+          Alcotest.test_case "admit needs a rank" `Quick store_admit_needs_rank;
+          Alcotest.test_case "lru skips busy entries" `Quick
+            store_lru_skips_busy;
+          Alcotest.test_case "budget accounting" `Quick store_budget_accounting;
         ] );
       ( "loadgen",
         [ Alcotest.test_case "arrival schedule shape" `Quick arrivals_shape ] );

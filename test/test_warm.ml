@@ -1,13 +1,11 @@
 (* Warm-path scheduling (tier-2 analysis reuse): a run seeded from a
-   prior run's captured analysis — pristine graph snapshot, rank
-   closure, dominator arena, legality memo — must replay byte-identical
-   to the cold pipeline at every issue width, and snapshots that no
-   longer speak for the seeding graph (stale version delta, node-count
-   mismatch) must be rejected at seed time. *)
+   prior run's captured analysis — pristine graph snapshot plus rank
+   closure — must replay byte-identical to the cold pipeline at every
+   issue width, and so must a run handed the rank alone (the store's
+   answer when the horizon slot is busy). *)
 
 module Machine = Vliw_machine.Machine
 module Pipeline = Grip.Pipeline
-module Ctx = Vliw_percolation.Ctx
 module Cache = Grip_serve.Cache
 module Synthetic = Workloads.Synthetic
 
@@ -28,9 +26,9 @@ let print_spec (s : Synthetic.spec) =
 
 let horizon = 10
 
-let run ?warm ?capture kern fus =
+let run ?(data = Synthetic.data) ?rank ?warm ?capture kern fus =
   match
-    Pipeline.run_robust ?warm ?capture ~horizon ~data:Synthetic.data kern
+    Pipeline.run_robust ?rank ?warm ?capture ~horizon ~data kern
       ~machine:(Machine.homogeneous fus)
   with
   | Ok r -> Cache.schedule_digest r.Pipeline.program
@@ -44,14 +42,13 @@ let warm_of (c : Pipeline.captured) =
         w_horizon = c.Pipeline.c_horizon;
         w_program;
         w_snapshot;
-        w_dom = c.Pipeline.c_dom;
-        w_memo = c.Pipeline.c_memo;
       }
   | _ -> failwith "capture incomplete: no pipelining rung won"
 
-(* The tier-2 contract: a width-2 capture seeds runs at 2 (full memo),
-   4 and 8 (portable-verdict subset) FUs, and every seeded schedule is
-   byte-identical to the cold one at that width. *)
+(* The tier-2 contract: a width-2 capture seeds runs at 2, 4 and 8 FUs,
+   through the graph restore and through the rank-only fallback, and
+   every seeded schedule is byte-identical to the cold one at that
+   width. *)
 let prop_warm_identical =
   QCheck2.Test.make ~name:"tier-2 seeded replay byte-identical at 2/4/8 FUs"
     ~count:8 ~print:print_spec spec_gen (fun spec ->
@@ -60,68 +57,33 @@ let prop_warm_identical =
       let cold2 = run ~capture:cap kern 2 in
       let cold4 = run kern 4 in
       let cold8 = run kern 8 in
-      let warm = warm_of cap in
-      run ~warm kern 2 = cold2
-      && run ~warm kern 4 = cold4
-      && run ~warm kern 8 = cold8)
+      let w = warm_of cap in
+      List.for_all
+        (fun (fus, cold) ->
+          run ~warm:w kern fus = cold && run ~rank:w.Pipeline.w_rank kern fus = cold)
+        [ (2, cold2); (4, cold4); (8, cold8) ])
 
-(* -- targeted memo-snapshot validation ----------------------------------- *)
+(* -- targeted rank-only fallback on the paper's kernels ------------------ *)
 
-let ll1 = (Option.get (Workloads.Livermore.find "LL1")).Workloads.Livermore.kernel
-
-let mk_ctx kern fus =
-  let u = Grip.Unwind.build kern ~horizon in
-  let p = u.Grip.Unwind.program in
-  ignore
-    (Vliw_percolation.Redundant.cleanup p
-       ~exit_live:(Grip.Kernel.exit_live kern));
-  Ctx.make p ~machine:(Machine.homogeneous fus)
-    ~exit_live:(Grip.Kernel.exit_live kern)
-
-(* Schedule once with capture armed: yields the pristine delta-0
-   snapshot (via the capture-at-clear hook) and a context whose live
-   tables have a real, positive version delta. *)
-let scheduled_ctx fus =
-  let ctx = mk_ctx ll1 fus in
-  Ctx.arm_capture ctx;
-  let rank = Pipeline.default_rank ll1 in
-  ignore (Grip.Scheduler.run (Grip.Scheduler.default_config ~rank) ctx);
-  ctx
-
-let test_pristine_seeds () =
-  let snap = Option.get (Ctx.capture (scheduled_ctx 2)) in
-  Alcotest.(check int) "pristine delta" 0 snap.Ctx.ms_delta;
-  match Ctx.seed_memo (mk_ctx ll1 2) snap with
-  | Ok n -> Alcotest.(check bool) "verdicts installed" true (n > 0)
-  | Error e -> Alcotest.fail ("pristine snapshot rejected: " ^ e)
-
-let test_cross_width_seeds () =
-  let snap = Option.get (Ctx.capture (scheduled_ctx 2)) in
-  match Ctx.seed_memo (mk_ctx ll1 4) snap with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("cross-width seed rejected: " ^ e)
-
-let test_stale_rejected () =
-  let ctx = scheduled_ctx 2 in
-  (* manufactured bump: a pristine snapshot whose version moved on *)
-  let snap = { (Option.get (Ctx.capture ctx)) with Ctx.ms_delta = 1 } in
-  (match Ctx.seed_memo (mk_ctx ll1 2) snap with
-  | Ok n -> Alcotest.fail (Printf.sprintf "stale snapshot seeded %d verdicts" n)
-  | Error _ -> ());
-  (* the real thing: post-scheduling live tables carry their actual
-     delta from the armed base, which must be positive after moves *)
-  let live = Ctx.memo_snapshot_now ctx in
-  Alcotest.(check bool) "live delta positive" true (live.Ctx.ms_delta > 0);
-  match Ctx.seed_memo (mk_ctx ll1 2) live with
-  | Ok n -> Alcotest.fail (Printf.sprintf "live snapshot seeded %d verdicts" n)
-  | Error _ -> ()
-
-let test_node_mismatch_rejected () =
-  let snap = Option.get (Ctx.capture (scheduled_ctx 2)) in
-  let bad = { snap with Ctx.ms_nodes = snap.Ctx.ms_nodes + 1 } in
-  match Ctx.seed_memo (mk_ctx ll1 2) bad with
-  | Ok n -> Alcotest.fail (Printf.sprintf "mismatched snapshot seeded %d" n)
-  | Error _ -> ()
+(* The store answers a request whose horizon slot is busy with the
+   captured rank alone; the run then unwinds cold.  On a Livermore
+   kernel that schedule must match the cold one at every width, and so
+   must the full graph restore. *)
+let rank_fallback_case name () =
+  let e = Option.get (Workloads.Livermore.find name) in
+  let kern = e.Workloads.Livermore.kernel in
+  let run = run ~data:e.Workloads.Livermore.data in
+  let cap = Pipeline.fresh_capture () in
+  let cold2 = run ~capture:cap kern 2 in
+  let w = warm_of cap in
+  List.iter
+    (fun (fus, cold) ->
+      let label what = Printf.sprintf "%s %s at %d FUs" name what fus in
+      Alcotest.(check string)
+        (label "rank-only") cold
+        (run ~rank:w.Pipeline.w_rank kern fus);
+      Alcotest.(check string) (label "graph restore") cold (run ~warm:w kern fus))
+    [ (2, cold2); (4, run kern 4); (8, run kern 8) ]
 
 let () =
   (* deterministic property runs: qcheck reseeds from the clock
@@ -131,15 +93,8 @@ let () =
   Alcotest.run "warm"
     [
       ("qcheck", [ QCheck_alcotest.to_alcotest prop_warm_identical ]);
-      ( "memo-snapshot",
-        [
-          Alcotest.test_case "pristine snapshot seeds" `Quick
-            test_pristine_seeds;
-          Alcotest.test_case "cross-width seed accepted" `Quick
-            test_cross_width_seeds;
-          Alcotest.test_case "stale snapshot rejected" `Quick
-            test_stale_rejected;
-          Alcotest.test_case "node-count mismatch rejected" `Quick
-            test_node_mismatch_rejected;
-        ] );
+      ( "rank-fallback",
+        List.map
+          (fun k -> Alcotest.test_case k `Quick (rank_fallback_case k))
+          [ "LL1"; "LL5" ] );
     ]
