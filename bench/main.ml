@@ -5,6 +5,11 @@
      dune exec bench/main.exe table1    -- just Table 1
      ... fig5 fig6 fig8 fig9 fig11 fig13 micro ablation
 
+   [json] writes the Table 1 artifact (each cell with its pinned
+   schedule digest), [json-validate FILE] checks one, and [digests]
+   checks an artifact against test/schedule_digests.expected, rewrites
+   that file (--write) or replays the sweep under faults (--chaos).
+
    Table 1 prints measured speedups next to the paper's, figures print
    the paper-style iteration/instruction tables, [micro] runs Bechamel
    over the schedulers (the section 3 efficiency claim), and
@@ -31,6 +36,12 @@ let section title =
 
 let fus = [ 2; 4; 8 ]
 
+(* The Table 1 grid's techniques, tagged as the artifact and
+   test/schedule_digests.expected name them.  The paper's table
+   compares GRiP with POST; no-gap completes the pinned-digest grid. *)
+let techniques =
+  [ (Pipeline.Grip, "grip"); (Pipeline.Grip_no_gap, "no-gap"); (Pipeline.Post, "post") ]
+
 type cell = { speedup : float; converged : bool; ok : bool }
 
 let run_cell (e : Livermore.entry) method_ fu =
@@ -51,13 +62,11 @@ let run_cell (e : Livermore.entry) method_ fu =
    order: stdout is byte-identical whatever [--jobs] is (worker
    progress goes to stderr and may interleave).  Returns the cells and
    the supervisor's resilience stats (all zeros on a healthy run). *)
-let table1_cells ?config ~pool ~tag ~cell () =
+let table1_cells ?config ~methods ~pool ~tag ~cell () =
   let tasks =
     List.concat_map
       (fun (e : Livermore.entry) ->
-        List.concat_map
-          (fun fu -> [ (e, Pipeline.Grip, fu); (e, Pipeline.Post, fu) ])
-          fus)
+        List.concat_map (fun fu -> List.map (fun m -> (e, m, fu)) methods) fus)
       Livermore.all
   in
   let results, rstats =
@@ -71,9 +80,9 @@ let table1_cells ?config ~pool ~tag ~cell () =
   (Array.of_list results, rstats)
 
 (* cells.(i) layout of [table1_cells]: loop-major, then FU width, then
-   grip before post. *)
-let cell_index ~entry ~fu_i ~post =
-  (entry * 2 * List.length fus) + (2 * fu_i) + if post then 1 else 0
+   technique in [methods] order. *)
+let cell_index ~methods ~entry ~fu_i ~m_i =
+  (((entry * List.length fus) + fu_i) * List.length methods) + m_i
 
 let table1 ~pool () =
   section "Table 1: observed speed-up (GRiP vs POST, 2/4/8 FUs)";
@@ -83,7 +92,10 @@ let table1 ~pool () =
   printf "%-6s" "";
   List.iter (fun _ -> printf "| %6s %6s " "GRiP" "POST") fus;
   printf "|@.";
-  let cells, _rstats = table1_cells ~pool ~tag:"table1" ~cell:run_cell () in
+  let methods = [ Pipeline.Grip; Pipeline.Post ] in
+  let cells, _rstats =
+    table1_cells ~methods ~pool ~tag:"table1" ~cell:run_cell ()
+  in
   let grip_cols = Array.make 3 [] and post_cols = Array.make 3 [] in
   let seq_w = ref [] in
   List.iteri
@@ -92,8 +104,8 @@ let table1 ~pool () =
       printf "%-6s" name;
       List.iteri
         (fun i _fu ->
-          let g = cells.(cell_index ~entry ~fu_i:i ~post:false) in
-          let p = cells.(cell_index ~entry ~fu_i:i ~post:true) in
+          let g = cells.(cell_index ~methods ~entry ~fu_i:i ~m_i:0) in
+          let p = cells.(cell_index ~methods ~entry ~fu_i:i ~m_i:1) in
           grip_cols.(i) <- g.speedup :: grip_cols.(i);
           post_cols.(i) <- p.speedup :: post_cols.(i);
           let mark c = if not c.ok then "!" else if not c.converged then "~" else " " in
@@ -440,7 +452,7 @@ let ablation ~pool () =
   in
   List.iter
     (fun (name, m, cpi, converged) ->
-      printf "%-38s speedup=%5.2f cpi=%-6s converged=%b@." name
+      printf "%-38s speedup=%5.2f cpi=%-6s converged=%B@." name
         m.Speedup.speedup
         (match cpi with Some c -> Printf.sprintf "%.2f" c | None -> "-")
         converged)
@@ -485,14 +497,29 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/8"
+let table1_schema = "grip.bench.table1/9"
 
-(* One (loop, technique, width) measurement with its scheduler stats,
-   per-phase wall-clock breakdown and bottleneck verdict — the
-   machine-readable face of a Table 1 cell.  Each cell runs with its
-   own provenance recorder so the bottleneck block's totals are the
-   journal-derived ones (equal to the Metrics counters by the replay
-   invariant). *)
+(* The pinned schedule digest of test/schedule_digests.expected: the
+   full rendered program (every node, op, guard, register and
+   conditional tree) plus the static CPI and the convergence verdict,
+   so any behavioural drift in the scheduling core changes it. *)
+let schedule_digest (o : Pipeline.outcome) =
+  let rendered =
+    Format.asprintf "%a@.cpi=%s converged=%b@." Vliw_ir.Program.pp
+      o.Pipeline.program
+      (match o.Pipeline.static_cpi with
+      | Some c -> Printf.sprintf "%.4f" c
+      | None -> "-")
+      (o.Pipeline.pattern <> None)
+  in
+  Digest.to_hex (Digest.string rendered)
+
+(* One (loop, technique, width) measurement with its pinned digest,
+   scheduler stats, per-phase wall-clock breakdown and bottleneck
+   verdict — the machine-readable face of a Table 1 cell.  Each cell
+   runs with its own provenance recorder so the bottleneck block's
+   totals are the journal-derived ones (equal to the Metrics counters
+   by the replay invariant). *)
 let json_cell (e : Livermore.entry) method_ fu horizon =
   let machine = Machine.homogeneous fu in
   let prov = Obs.Provenance.create () in
@@ -549,6 +576,7 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
   in
   Json.Obj
     [
+      ("digest", Json.Str (schedule_digest o));
       ("speedup", Json.Num m.Speedup.speedup);
       ("cycles_per_iter", Json.Num m.Speedup.sched_per_iter);
       ("seq_cycles_per_iter", Json.Num m.Speedup.seq_per_iter);
@@ -563,13 +591,16 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         Obs.Bottleneck.to_json (Grip.Explain.report ~prov o) );
     ]
 
-let table1_json ~pool ~jobs ~out ~horizon () =
+(* The whole Table 1 artifact, from one sweep of the grid ([config]
+   injects supervisor faults); also returns the resilience stats. *)
+let table1_doc ?config ~pool ~jobs ~horizon () =
   let t_start = Unix.gettimeofday () in
   (* each cell carries its own wall seconds so the harness block can
      report work time (cell_seconds) next to elapsed time
      (wall_seconds): their ratio is the measured parallel speedup *)
+  let methods = List.map fst techniques in
   let cells, rstats =
-    table1_cells ~pool ~tag:"json"
+    table1_cells ?config ~methods ~pool ~tag:"json"
       ~cell:(fun e m fu ->
         let t0 = Unix.gettimeofday () in
         let j = json_cell e m fu horizon in
@@ -585,10 +616,10 @@ let table1_json ~pool ~jobs ~out ~horizon () =
             (fun fu_i fu ->
               ( Printf.sprintf "fu%d" fu,
                 Json.Obj
-                  [
-                    ("grip", fst cells.(cell_index ~entry ~fu_i ~post:false));
-                    ("post", fst cells.(cell_index ~entry ~fu_i ~post:true));
-                  ] ))
+                  (List.mapi
+                     (fun m_i (_, tag) ->
+                       (tag, fst cells.(cell_index ~methods ~entry ~fu_i ~m_i)))
+                     techniques) ))
             fus
         in
         let g2, g4, g8 = e.Livermore.paper_grip
@@ -642,18 +673,28 @@ let table1_json ~pool ~jobs ~out ~horizon () =
         ("loops", Json.List loops);
       ]
   in
-  let oc = open_out out in
-  output_string oc (Json.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.eprintf
-    "[json] wrote %s (%d loops x %d FU configs; %d jobs, %.2fs wall, %.2fs \
-     cells)@."
-    out (List.length loops) (List.length fus) jobs wall_seconds cell_seconds
+  (doc, rstats)
 
-(* Structural check of a Table 1 artifact: schema tag, one entry per
-   Livermore loop, and a grip+post cell (with speedup and stats) for
-   every FU configuration.  Exits non-zero on the first defect. *)
+let or_exit = function
+  | Ok x -> x
+  | Error e ->
+      prerr_endline e;
+      exit 1
+
+let read_file file =
+  try Ok (In_channel.with_open_bin file In_channel.input_all)
+  with Sys_error e -> Error e
+
+(* An artifact's parsed document, or why it has none (naming [file]). *)
+let read_artifact file =
+  Result.bind (read_file file) (fun s ->
+      Result.map_error (Printf.sprintf "%s: invalid JSON: %s" file) (Json.parse s))
+
+(* Structural check of a Table 1 artifact: schema tag, harness block,
+   one entry per Livermore loop, and for every FU configuration a cell
+   per technique carrying its pinned digest, speedup, stats and
+   legality/gc/bottleneck blocks.  GRiP cells must also carry sane
+   bounds and a critical chain.  Exits non-zero on the first defect. *)
 let json_validate file =
   let fail fmt =
     Format.kasprintf
@@ -662,42 +703,31 @@ let json_validate file =
         exit 1)
       fmt
   in
-  let contents =
-    try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> fail "%s" e
+  let doc = or_exit (read_artifact file) in
+  let block where name parent =
+    match Json.member name parent with
+    | Some (Json.Obj _ as b) -> b
+    | _ -> fail "%s: missing %s block" where name
   in
-  let doc =
-    match Json.parse contents with
-    | Ok d -> d
-    | Error e -> fail "invalid JSON: %s" e
+  let require_nums where b fields =
+    List.iter
+      (fun field ->
+        if Option.bind (Json.member field b) Json.to_float = None then
+          fail "%s: missing numeric %s" where field)
+      fields
   in
   (match Option.bind (Json.member "schema" doc) Json.to_str with
   | Some s when s = table1_schema -> ()
   | Some s -> fail "unexpected schema %S (want %S)" s table1_schema
   | None -> fail "missing schema tag");
-  (match Json.member "harness" doc with
-  | None -> fail "missing harness block"
-  | Some h ->
-      List.iter
-        (fun field ->
-          if Option.bind (Json.member field h) Json.to_float = None then
-            fail "harness: missing numeric %s" field)
-        [ "jobs"; "wall_seconds"; "cell_seconds" ];
-      match Json.member "resilience" h with
-      | None -> fail "harness: missing resilience block"
-      | Some r ->
-          List.iter
-            (fun field ->
-              if Option.bind (Json.member field r) Json.to_float = None then
-                fail "harness.resilience: missing numeric %s" field)
-            [
-              "retries"; "sheds"; "quarantined"; "worker_restarts";
-              "gap_violations"; "max_worker_gap_ms";
-            ]);
+  let h = block "artifact" "harness" doc in
+  require_nums "harness" h [ "jobs"; "wall_seconds"; "cell_seconds" ];
+  require_nums "harness.resilience"
+    (block "harness" "resilience" h)
+    [
+      "retries"; "sheds"; "quarantined"; "worker_restarts"; "gap_violations";
+      "max_worker_gap_ms";
+    ];
   let loops =
     match Option.bind (Json.member "loops" doc) Json.to_list with
     | Some l -> l
@@ -706,6 +736,35 @@ let json_validate file =
   let expected = List.length Livermore.all in
   if List.length loops <> expected then
     fail "expected %d loops, found %d" expected (List.length loops);
+  let check_cell where tech c =
+    (match Option.bind (Json.member "digest" c) Json.to_str with
+    | Some d
+      when String.length d = 32
+           && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) d
+      -> ()
+    | _ -> fail "%s: missing 32-hex digest" where);
+    require_nums where c [ "speedup" ];
+    ignore (block where "stats" c);
+    ignore (block where "phase_seconds" c);
+    require_nums (where ^ " legality")
+      (block where "legality" c)
+      [
+        "check_seconds"; "cache_hits"; "cache_misses"; "cache_hit_rate";
+        "index_hits"; "index_misses"; "gc_deferred"; "gc_runs"; "gc_reclaimed";
+      ];
+    require_nums (where ^ " gc")
+      (block where "gc" c)
+      [ "alloc_bytes"; "minor_collections"; "major_collections"; "promoted_bytes" ];
+    let b = block where "bottleneck" c in
+    (match Option.bind (Json.member "verdict" b) Json.to_str with
+    | Some ("dep_bound" | "resource_bound" | "scheduler_bound") -> ()
+    | Some v -> fail "%s: unknown verdict %S" where v
+    | None -> fail "%s: bottleneck without verdict" where);
+    require_nums (where ^ " bottleneck") b
+      [ "rec_mii"; "res_mii"; "suspensions"; "barriers" ];
+    if tech = "grip" then
+      Option.iter (fail "%s: %s" where) (Obs.Bottleneck.bounds_defect b)
+  in
   List.iter
     (fun loop ->
       let name =
@@ -715,87 +774,100 @@ let json_validate file =
       in
       List.iter
         (fun fu ->
-          let cell =
-            match Json.member (Printf.sprintf "fu%d" fu) loop with
-            | Some c -> c
-            | None -> fail "%s: missing fu%d entry" name fu
-          in
+          let fu_cells = block name (Printf.sprintf "fu%d" fu) loop in
           List.iter
-            (fun tech ->
-              match Json.member tech cell with
-              | None -> fail "%s/fu%d: missing %s cell" name fu tech
-              | Some c ->
-                  if Option.bind (Json.member "speedup" c) Json.to_float = None
-                  then fail "%s/fu%d/%s: missing speedup" name fu tech;
-                  (match Json.member "stats" c with
-                  | Some (Json.Obj _) -> ()
-                  | _ -> fail "%s/fu%d/%s: missing stats" name fu tech);
-                  (match Json.member "phase_seconds" c with
-                  | Some (Json.Obj _) -> ()
-                  | _ -> fail "%s/fu%d/%s: missing phase_seconds" name fu tech);
-                  (match Json.member "legality" c with
-                  | Some lg ->
-                      List.iter
-                        (fun field ->
-                          if
-                            Option.bind (Json.member field lg) Json.to_float
-                            = None
-                          then
-                            fail "%s/fu%d/%s: legality missing numeric %s" name
-                              fu tech field)
-                        [
-                          "check_seconds";
-                          "cache_hits";
-                          "cache_misses";
-                          "cache_hit_rate";
-                          "index_hits";
-                          "index_misses";
-                          "gc_deferred";
-                          "gc_runs";
-                          "gc_reclaimed";
-                        ]
-                  | None -> fail "%s/fu%d/%s: missing legality block" name fu tech);
-                  (match Json.member "gc" c with
-                  | Some g ->
-                      List.iter
-                        (fun field ->
-                          if
-                            Option.bind (Json.member field g) Json.to_float
-                            = None
-                          then
-                            fail "%s/fu%d/%s: gc missing numeric %s" name fu
-                              tech field)
-                        [
-                          "alloc_bytes";
-                          "minor_collections";
-                          "major_collections";
-                          "promoted_bytes";
-                        ]
-                  | None -> fail "%s/fu%d/%s: missing gc block" name fu tech);
-                  match Json.member "bottleneck" c with
-                  | Some b ->
-                      (match Option.bind (Json.member "verdict" b) Json.to_str with
-                      | Some
-                          ("dep_bound" | "resource_bound" | "scheduler_bound")
-                        -> ()
-                      | Some v ->
-                          fail "%s/fu%d/%s: unknown verdict %S" name fu tech v
-                      | None ->
-                          fail "%s/fu%d/%s: bottleneck without verdict" name fu
-                            tech);
-                      List.iter
-                        (fun field ->
-                          if Option.bind (Json.member field b) Json.to_float = None
-                          then
-                            fail "%s/fu%d/%s: bottleneck missing numeric %s"
-                              name fu tech field)
-                        [ "rec_mii"; "res_mii"; "suspensions"; "barriers" ]
-                  | None -> fail "%s/fu%d/%s: missing bottleneck" name fu tech)
-            [ "grip"; "post" ])
+            (fun (_, tech) ->
+              let where = Printf.sprintf "%s/fu%d/%s" name fu tech in
+              match Json.member tech fu_cells with
+              | Some c -> check_cell where tech c
+              | None -> fail "%s: missing cell" where)
+            techniques)
         fus)
     loops;
-  Format.printf "%s: OK (%d loops x %d FU configs)@." file expected
-    (List.length fus)
+  Format.printf "%s: OK (%d loops x %d FU configs x %d techniques)@." file
+    expected (List.length fus) (List.length techniques)
+
+(* ---------------------------------------------------------------- *)
+(* Pinned schedule digests                                           *)
+(* ---------------------------------------------------------------- *)
+
+(* The (cell, digest) pairs an artifact records, in artifact order;
+   a cell is named as in the pinned file: "LL1 grip fu2". *)
+let artifact_digests doc =
+  let ( let* ) = Option.bind in
+  List.concat_map
+    (fun loop ->
+      let name =
+        Option.value ~default:"?" (Option.bind (Json.member "name" loop) Json.to_str)
+      in
+      List.concat_map
+        (fun fu ->
+          List.filter_map
+            (fun (_, tag) ->
+              let* cells = Json.member (Printf.sprintf "fu%d" fu) loop in
+              let* c = Json.member tag cells in
+              let* d = Option.bind (Json.member "digest" c) Json.to_str in
+              Some (Printf.sprintf "%s %s fu%d" name tag fu, d))
+            techniques)
+        fus)
+    (Option.value ~default:[] (Option.bind (Json.member "loops" doc) Json.to_list))
+
+(* Compare (cell, digest) pairs with a pinned file: every pinned line
+   needs a cell with its digest, and every cell needs a pinned line.
+   Each defect names its cell; any defect exits 1. *)
+let check_digests ~tag ~pinned_file actual =
+  let pinned =
+    or_exit (read_file pinned_file)
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           Option.map
+             (fun i ->
+               ( String.sub line 0 i,
+                 String.sub line (i + 1) (String.length line - i - 1) ))
+             (String.rindex_opt line ' '))
+  in
+  let defects =
+    List.filter_map
+      (fun (key, want) ->
+        match List.assoc_opt key actual with
+        | None -> Some (key ^ ": no cell")
+        | Some got when got <> want ->
+            Some (Printf.sprintf "%s: digest %s, pinned %s" key got want)
+        | Some _ -> None)
+      pinned
+    @ List.filter_map
+        (fun (key, _) ->
+          if List.mem_assoc key pinned then None
+          else Some (Printf.sprintf "%s: no line in %s" key pinned_file))
+        actual
+  in
+  if defects <> [] then begin
+    List.iter (Printf.eprintf "schedule digest mismatch: %s\n") defects;
+    exit 1
+  end;
+  Printf.printf "%s: %d cells byte-identical\n%!" tag (List.length actual)
+
+(* The chaos acceptance check: the sweep runs once per fault kind
+   through the supervised pool with deterministic crash and stall
+   faults injected (a quarantined cell raises), and each pass must
+   reproduce the pinned fault-free digests byte-identically. *)
+let chaos_digests ~pool ~jobs pinned_file =
+  let module Fault = Grip_robust.Fault in
+  List.iter
+    (fun fault ->
+      let tag = Printf.sprintf "chaos sweep (%s)" (Fault.pool_fault_name fault) in
+      let config =
+        {
+          Supervisor.default_config with
+          Supervisor.fault = Some (Fault.pool_plan ~every:4 fault);
+          Supervisor.backoff = 0.0;
+        }
+      in
+      let doc, st = table1_doc ~config ~pool ~jobs ~horizon:None () in
+      Printf.eprintf "%s: %d retries, %d restarts\n%!" tag
+        st.Supervisor.retries st.Supervisor.worker_restarts;
+      check_digests ~tag ~pinned_file (artifact_digests doc))
+    [ Fault.Crash; Fault.Stall 0.02 ]
 
 (* ---------------------------------------------------------------- *)
 
@@ -854,10 +926,30 @@ let () =
       let out, horizon =
         parse_json_opts ~out:"BENCH_table1.json" ~horizon:None rest
       in
-      Pool.with_pool ~jobs (fun pool -> table1_json ~pool ~jobs ~out ~horizon ())
+      Pool.with_pool ~jobs (fun pool ->
+          let doc, _ = table1_doc ~pool ~jobs ~horizon () in
+          Out_channel.with_open_text out (fun oc ->
+              output_string oc (Json.to_string ~pretty:true doc ^ "\n"));
+          Format.eprintf "[json] wrote %s@." out)
   | "json-validate" :: file :: _ -> json_validate file
   | "json-validate" :: [] ->
       Format.eprintf "json-validate: expected a file argument@.";
+      exit 2
+  | [ "digests"; "--write"; file ] ->
+      Pool.with_pool ~jobs (fun pool ->
+          let doc, _ = table1_doc ~pool ~jobs ~horizon:None () in
+          Out_channel.with_open_text file (fun oc ->
+              List.iter
+                (fun (cell, d) -> Printf.fprintf oc "%s %s\n" cell d)
+                (artifact_digests doc)))
+  | [ "digests"; "--chaos"; pinned_file ] ->
+      Pool.with_pool ~jobs (fun pool -> chaos_digests ~pool ~jobs pinned_file)
+  | [ "digests"; artifact; pinned_file ] ->
+      check_digests ~tag:"schedule digests" ~pinned_file
+        (artifact_digests (or_exit (read_artifact artifact)))
+  | "digests" :: _ ->
+      Format.eprintf
+        "usage: digests (ARTIFACT PINNED | --write PINNED | --chaos PINNED)@.";
       exit 2
   | argv ->
       let sections = match argv with [] -> [ "all" ] | rest -> rest in

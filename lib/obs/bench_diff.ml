@@ -2,15 +2,17 @@
 
     Works at the {!Json} level against any [grip.bench.table1/N] schema
     with [N >= 1] — the per-cell [speedup] field and the
-    [loops[].name] / [fuW.{grip,post}] layout have been stable since
-    /1, so old artifacts stay comparable across schema bumps.  Cells
-    present on only one side are reported, not treated as regressions
-    (a new loop or FU configuration is not a slowdown). *)
+    [loops[].name] / [fuW.TECH] layout have been stable since /1, so
+    old artifacts stay comparable across schema bumps.  The techniques
+    are whatever each [fuW] object holds ([grip] and [post], plus
+    [no-gap] since /9).  Cells present on only one side are reported,
+    not treated as regressions (a new loop, FU configuration or
+    technique is not a slowdown). *)
 
 type cell = {
   loop : string;
   fu : string;  (** e.g. ["fu4"] *)
-  tech : string;  (** ["grip"] or ["post"] *)
+  tech : string;  (** ["grip"], ["no-gap"] or ["post"] *)
   old_speedup : float;
   new_speedup : float;
   old_alloc : float option;  (** per-cell [gc.alloc_bytes], when present *)
@@ -52,20 +54,21 @@ let cells_of doc =
           let fields = match loop with Json.Obj kvs -> kvs | _ -> [] in
           List.concat_map
             (fun (field, v) ->
-              if String.length field > 2 && String.sub field 0 2 = "fu" then
-                List.filter_map
-                  (fun tech ->
-                    Option.bind (Json.member tech v) (fun c ->
-                        let alloc =
-                          Option.bind (Json.member "gc" c) (fun g ->
-                              Option.bind (Json.member "alloc_bytes" g)
-                                Json.to_float)
-                        in
-                        Option.map
-                          (fun s -> ((name, field, tech), (s, alloc)))
-                          (Option.bind (Json.member "speedup" c) Json.to_float)))
-                  [ "grip"; "post" ]
-              else [])
+              match v with
+              | Json.Obj techs
+                when String.length field > 2 && String.sub field 0 2 = "fu" ->
+                  List.filter_map
+                    (fun (tech, c) ->
+                      let alloc =
+                        Option.bind (Json.member "gc" c) (fun g ->
+                            Option.bind (Json.member "alloc_bytes" g)
+                              Json.to_float)
+                      in
+                      Option.map
+                        (fun s -> ((name, field, tech), (s, alloc)))
+                        (Option.bind (Json.member "speedup" c) Json.to_float))
+                    techs
+              | _ -> [])
             fields)
     loops
 

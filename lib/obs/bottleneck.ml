@@ -280,3 +280,15 @@ let to_json ?(top = 5) (r : report) =
                Obj [ ("op", num (float_of_int op)); ("count", num (float_of_int n)) ])
              (take top r.top_blockers)) );
     ]
+
+(** [bounds_defect j] — why a {!to_json} block lacks a critical chain
+    with positions, [rec_mii >= 0] or [res_mii > 0], or [None]. *)
+let bounds_defect j =
+  let num f = Option.bind (Json.member f j) Json.to_float in
+  let chain = Option.bind (Json.member "critical_chain" j) (Json.member "positions") in
+  match (Option.bind chain Json.to_list, num "rec_mii", num "res_mii") with
+  | (None | Some []), _, _ -> Some "no critical chain with positions"
+  | _, Some r, Some s when r >= 0. && s > 0. -> None
+  | _, r, s ->
+      let show = function Some x -> Printf.sprintf "%g" x | None -> "-" in
+      Some (Printf.sprintf "bounds rec_mii=%s res_mii=%s" (show r) (show s))

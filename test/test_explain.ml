@@ -1,8 +1,8 @@
 (* The bottleneck profiler: verdict classification and recurrence
    reconstruction on hand-built dependence graphs, the occupancy
-   timeline's steady-window accounting, and `grip explain` coverage —
-   a verdict and a critical chain for every Livermore kernel at each
-   of the paper's machine widths. *)
+   timeline's steady-window accounting, and the rendered `grip explain`
+   report on a few Livermore cells.  Every Livermore cell's bottleneck
+   block is checked from the Table 1 artifact (test_table1.ml). *)
 
 module Obs = Grip_obs
 module Json = Grip_obs.Json
@@ -259,31 +259,23 @@ let test_occupancy_window_sums () =
            /. float_of_int pat.Convergence.delta))
         o.Pipeline.static_cpi
 
-(* -- grip explain over the whole suite ------------------------------------- *)
+(* -- grip explain, rendered ------------------------------------------------ *)
 
-let check_explain name fu =
+(* The rendered report, on a light and the heaviest kernel at the
+   narrowest and widest machine. *)
+let check_rendered name fu =
   let prov = Provenance.create () in
   let obs = Obs.make ~prov () in
   let o =
     Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous fu)
       ~method_:Pipeline.Grip
   in
-  let r = Explain.report ~prov o in
-  let ctx = Printf.sprintf "%s/%dFU" name fu in
-  (match r.Bottleneck.chain with
-  | None -> Alcotest.failf "%s: no critical chain" ctx
-  | Some c ->
-      Alcotest.(check bool)
-        (ctx ^ " chain non-empty") true
-        (c.Bottleneck.chain_positions <> []));
-  Alcotest.(check bool)
-    (ctx ^ " bounds sane") true
-    (r.Bottleneck.rec_mii >= 0. && r.Bottleneck.res_mii > 0.);
   let buf = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer buf in
-  Explain.render ppf ~prov o r;
+  Explain.render ppf ~prov o (Explain.report ~prov o);
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
+  let ctx = Printf.sprintf "%s/%dFU" name fu in
   Alcotest.(check bool)
     (ctx ^ " verdict rendered") true
     (List.exists (contains out)
@@ -292,18 +284,14 @@ let check_explain name fu =
     (ctx ^ " chain rendered") true
     (contains out "critical chain:")
 
-let explain_cases =
-  List.concat_map
-    (fun (e : Livermore.entry) ->
-      let name = e.Livermore.kernel.Kernel.name in
-      List.map
-        (fun fu ->
-          Alcotest.test_case
-            (Printf.sprintf "explain %s %dFU" name fu)
-            `Slow
-            (fun () -> check_explain name fu))
-        [ 2; 4; 8 ])
-    Livermore.all
+let rendered_cases =
+  List.map
+    (fun (name, fu) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s %dFU" name fu)
+        `Quick
+        (fun () -> check_rendered name fu))
+    [ ("LL1", 2); ("LL1", 8); ("LL7", 2); ("LL7", 8) ]
 
 let () =
   Alcotest.run "explain"
@@ -325,5 +313,5 @@ let () =
           Alcotest.test_case "abc golden" `Quick test_occupancy_golden;
           Alcotest.test_case "window sums" `Quick test_occupancy_window_sums;
         ] );
-      ("livermore", explain_cases);
+      ("rendered", rendered_cases);
     ]

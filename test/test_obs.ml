@@ -505,7 +505,27 @@ let test_null_sink_purity () =
   in
   Alcotest.(check string) "same schedule with journals" table_null table_prov;
   Alcotest.(check (float 1e-9))
-    "same speedup with journals" speedup_null speedup_prov
+    "same speedup with journals" speedup_null speedup_prov;
+  (* the Table 1 artifact digests prov+metrics runs: every input of the
+     pinned digest (rendered program, static CPI, convergence) must
+     match the null-observer run, whatever the technique *)
+  List.iter
+    (fun (name, method_) ->
+      let pinned obs =
+        let o =
+          Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous 2) ~method_
+        in
+        ( Format.asprintf "%a" Vliw_ir.Program.pp o.Pipeline.program,
+          o.Pipeline.static_cpi,
+          o.Pipeline.pattern <> None )
+      in
+      Alcotest.(check (triple string (option (float 0.)) bool))
+        (name ^ " " ^ Pipeline.method_name method_ ^ " digest inputs")
+        (pinned Obs.null)
+        (pinned (Obs.make ~prov:(Provenance.create ()) ~metrics:(Metrics.create ()) ())))
+    (List.concat_map
+       (fun m -> [ ("LL1", m); ("LL5", m) ])
+       [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
 
 (* -- Chrome sink ---------------------------------------------------------- *)
 
@@ -686,6 +706,24 @@ let test_bench_diff_tolerates_dropped_cache_block () =
   Alcotest.(check int) "no regressions" 0
     (List.length (Bench_diff.regressions r))
 
+(* Schema /9 added no-gap cells: against a /8 artifact they are
+   new-only; once both sides carry them they are compared, never gated. *)
+let test_bench_diff_no_gap_cells () =
+  let ll1_no_gap x =
+    Printf.sprintf
+      {|{"name":"LL1","fu2":{"grip":{"speedup":2.5},"no-gap":{"speedup":%g},"post":{"speedup":2}}}|}
+      x
+  in
+  let v9 = artifact ~schema:"grip.bench.table1/9" [ ll1_no_gap 1.5 ] in
+  let r = diff_ok ~old_:(artifact ~schema:"grip.bench.table1/8" [ ll1 () ]) ~new_:v9 in
+  Alcotest.(check (list string)) "only_new" [ "LL1/fu2/no-gap" ] r.Bench_diff.only_new;
+  Alcotest.(check int) "cells" 2 (List.length r.Bench_diff.cells);
+  let r = diff_ok ~old_:v9 ~new_:(artifact [ ll1_no_gap 1.0 ]) in
+  Alcotest.(check (list string)) "no-gap compared"
+    [ "LL1/fu2/grip"; "LL1/fu2/no-gap"; "LL1/fu2/post" ]
+    (List.map Bench_diff.cell_label r.Bench_diff.cells);
+  Alcotest.(check int) "no gate" 0 (List.length (Bench_diff.regressions r))
+
 let test_bench_diff_asymmetric_cells () =
   let old_ = artifact [ ll1 (); ll5 () ] in
   let new_ =
@@ -828,6 +866,8 @@ let () =
             test_bench_diff_tolerates_dropped_cache_block;
           Alcotest.test_case "asymmetric cells reported" `Quick
             test_bench_diff_asymmetric_cells;
+          Alcotest.test_case "no-gap cells new-only" `Quick
+            test_bench_diff_no_gap_cells;
           Alcotest.test_case "malformed artifacts rejected" `Quick
             test_bench_diff_rejects;
         ] );
