@@ -517,16 +517,15 @@ let schedule_digest (o : Pipeline.outcome) =
 (* One (loop, technique, width) measurement with its pinned digest,
    scheduler stats, per-phase wall-clock breakdown and bottleneck
    verdict — the machine-readable face of a Table 1 cell.  Each cell
-   runs with its own provenance recorder so the bottleneck block's
-   totals are the journal-derived ones (equal to the Metrics counters
-   by the replay invariant). *)
+   runs with its own provenance journals, the bottleneck block's
+   source of top blocking operations. *)
 let json_cell (e : Livermore.entry) method_ fu horizon =
   let machine = Machine.homogeneous fu in
   let prov = Obs.Provenance.create () in
   (* metrics on: the legality block below reads the move-legality and
      graph-maintenance counters the percolation core records *)
   let metrics = Obs.Metrics.create () in
-  let obs = Obs.make ~prov ~metrics () in
+  let obs = Obs.make ~trace:(Obs.Provenance.tracer prov) ~metrics () in
   (* whole-cell GC deltas: a cell runs entirely on one domain, so the
      domain-local [Gc] counters delimit exactly this cell's work *)
   let a0 = Gc.allocated_bytes () in

@@ -959,7 +959,7 @@ let explain_run kernel fus method_ horizon op top =
   | Ok (kern, _data) ->
       let machine = machine_of_fus fus in
       let prov = Obs.Provenance.create () in
-      let obs = Obs.make ~prov () in
+      let obs = Obs.make ~trace:(Obs.Provenance.tracer prov) () in
       let o = Pipeline.run ~obs kern ~machine ~method_ ?horizon in
       let r = Grip.Explain.report ~prov o in
       Grip.Explain.render Format.std_formatter ?op ~top ~prov o r

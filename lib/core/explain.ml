@@ -39,14 +39,14 @@ let window_pressure (o : Pipeline.outcome) =
         all
 
 (** [input_of ?prov o] — the analyzer's input for a pipeline outcome.
-    With journals, suspension/barrier totals come from provenance
-    (equal to the Metrics counters by the replay invariant); without,
-    from the scheduler's own stats.  The resource bound uses the
+    Suspension/barrier totals come from the scheduler's own stats (the
+    journals' totals count the same events); the top blockers need
+    journals.  The resource bound uses the
     slots actually issued per steady iteration — renaming copies
     consume slots too, and redundancy removal may have deleted body
     ops — falling back to the kernel's nominal op count when the
     schedule never converged. *)
-let input_of ?(prov = Provenance.null) (o : Pipeline.outcome) =
+let input_of ?prov (o : Pipeline.outcome) =
   let ddg = Pipeline.ddg_of o.Pipeline.kernel in
   let positions = List.length o.Pipeline.kernel.Kernel.body + 1 in
   let pressure = window_pressure o in
@@ -57,11 +57,7 @@ let input_of ?(prov = Provenance.null) (o : Pipeline.outcome) =
         /. float_of_int pat.Convergence.delta
     | _ -> float_of_int (Kernel.ops_per_iteration o.Pipeline.kernel)
   in
-  let suspensions, barriers =
-    if Provenance.enabled prov then
-      (Provenance.total_suspensions prov, Provenance.total_barriers prov)
-    else Pipeline.sched_totals o.Pipeline.stats
-  in
+  let suspensions, barriers = Pipeline.sched_totals o.Pipeline.stats in
   {
     Bottleneck.positions;
     edges = edges_of_ddg ddg;
@@ -74,7 +70,7 @@ let input_of ?(prov = Provenance.null) (o : Pipeline.outcome) =
     barriers;
     fuel = o.Pipeline.fuel_exhausted;
     pressure;
-    blockers = (if Provenance.enabled prov then Provenance.blockers prov else []);
+    blockers = Option.fold ~none:[] ~some:Provenance.blockers prov;
   }
 
 let report ?tolerance ?prov (o : Pipeline.outcome) =

@@ -76,9 +76,9 @@ let ddg_of (k : Kernel.t) =
 let default_rank (k : Kernel.t) = Rank.section_3_4 ~ddg:(ddg_of k)
 
 (** [sched_totals stats] — (suspensions, resource barriers) of the
-    winning scheduler, the counter-side of the provenance replay
-    invariant (the Unifiable baseline tracks neither).  POST reports
-    its unconstrained phase 1, where all percolation happens. *)
+    winning scheduler (the Unifiable baseline tracks neither).  POST
+    reports its unconstrained phase 1, where all percolation
+    happens. *)
 let sched_totals = function
   | Grip_stats (s : Scheduler.stats) ->
       (s.Scheduler.suspensions, s.Scheduler.resource_barrier_events)
@@ -87,12 +87,13 @@ let sched_totals = function
         s.Post.phase1.Scheduler.resource_barrier_events )
   | Unifiable_stats _ -> (0, 0)
 
-(* Unifiable's loop stops at its migration budget without marking the
-   truncation; reaching the budget is the only observable signal. *)
-let fuel_exhausted_of = function
+(* [fuel] is the run's migration budget.  Unifiable's loop stops at it
+   without marking the truncation; reaching the budget is the only
+   observable signal. *)
+let fuel_exhausted_of ~fuel = function
   | Grip_stats (s : Scheduler.stats) -> s.Scheduler.fuel_exhausted
   | Post_stats (s : Post.stats) -> s.Post.phase1.Scheduler.fuel_exhausted
-  | Unifiable_stats _ -> false (* resolved in [run], where the budget is known *)
+  | Unifiable_stats (s : Unifiable.stats) -> s.Unifiable.migrations >= fuel
 
 let occupancy_bounds = [| 0; 1; 2; 3; 4; 6; 8; 12; 16 |]
 
@@ -110,6 +111,56 @@ let observe_occupancy (obs : Obs.t) machine p rows =
               (Machine.slot_demand_packed machine
                  (Program.counts_packed p r.Schedule_table.node)))
       rows
+
+(* The schedule phase of {!run} and of the ladder's pipelining rungs:
+   build [method_]'s scheduler over the unwound program [p] and run it
+   inside the Schedule span, with [fuel] migrations at most.  Returns
+   the scheduler's stats and the phase's wall seconds. *)
+let schedule_phase ~obs ~rank ~horizon ~speculation ~fuel ~budget
+    (k : Kernel.t) p ~machine ~method_ =
+  let exit_live = Kernel.exit_live k in
+  let idx_reuses0, idx_builds0 = Node.index_counters () in
+  let result =
+    Obs.timed obs Trace.Schedule (fun () ->
+        match method_ with
+        | Grip | Grip_no_gap ->
+            let ctx = Ctx.make ~obs p ~machine ~exit_live in
+            let config =
+              {
+                (Scheduler.default_config ~rank) with
+                Scheduler.gap_prevention = (method_ = Grip);
+                Scheduler.speculation = speculation;
+                Scheduler.max_migrations = fuel;
+                Scheduler.budget = budget;
+              }
+            in
+            Grip_stats (Scheduler.run config ctx)
+        | Post ->
+            let ctx_unlimited =
+              Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
+            in
+            let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
+            Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
+        | Unifiable ->
+            let ctx = Ctx.make ~obs p ~machine ~exit_live in
+            let config =
+              {
+                (Unifiable.default_config ~rank ~ddg:(ddg_of k) ~horizon) with
+                Unifiable.max_migrations = fuel;
+                Unifiable.budget = budget;
+              }
+            in
+            Unifiable_stats (Unifiable.run config ctx))
+  in
+  (* node-index effectiveness over the scheduling phase (the global
+     counters are deltas-snapshotted here; exact attribution under
+     sequential cells, i.e. --jobs 1) *)
+  if Metrics.enabled obs.Obs.metrics then begin
+    let idx_reuses1, idx_builds1 = Node.index_counters () in
+    Metrics.add obs.Obs.metrics "ir.index_reuses" (idx_reuses1 - idx_reuses0);
+    Metrics.add obs.Obs.metrics "ir.index_builds" (idx_builds1 - idx_builds0)
+  end;
+  result
 
 (** [run ?obs ?rank ?horizon ?redundancy ?speculation k ~machine
     ~method_] schedules kernel [k].  The default horizon scales with
@@ -131,60 +182,15 @@ let run ?(obs = Obs.null) ?rank ?horizon ?(redundancy = true)
     Obs.timed obs Trace.Redundancy (fun () ->
         if redundancy then Redundant.cleanup p ~exit_live else (0, 0, 0))
   in
-  let unifiable_budget = ref 0 in
-  let idx_reuses0, idx_builds0 = Node.index_counters () in
+  let fuel =
+    Option.value max_migrations
+      ~default:(Scheduler.default_config ~rank).Scheduler.max_migrations
+  in
   let stats, wall_seconds =
-    Obs.timed obs Trace.Schedule (fun () ->
-        match method_ with
-        | Grip | Grip_no_gap ->
-            let ctx = Ctx.make ~obs p ~machine ~exit_live in
-            let base = Scheduler.default_config ~rank in
-            let config =
-              {
-                base with
-                Scheduler.gap_prevention = (method_ = Grip);
-                Scheduler.speculation = speculation;
-                Scheduler.max_migrations =
-                  Option.value max_migrations
-                    ~default:base.Scheduler.max_migrations;
-                Scheduler.budget = budget;
-              }
-            in
-            Grip_stats (Scheduler.run config ctx)
-        | Post ->
-            let ctx_unlimited =
-              Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
-            in
-            let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
-            Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
-        | Unifiable ->
-            let ctx = Ctx.make ~obs p ~machine ~exit_live in
-            let base = Unifiable.default_config ~rank ~ddg:(ddg_of k) ~horizon in
-            let config =
-              {
-                base with
-                Unifiable.max_migrations =
-                  Option.value max_migrations
-                    ~default:base.Unifiable.max_migrations;
-                Unifiable.budget = budget;
-              }
-            in
-            unifiable_budget := config.Unifiable.max_migrations;
-            Unifiable_stats (Unifiable.run config ctx))
+    schedule_phase ~obs ~rank ~horizon ~speculation ~fuel ~budget k p ~machine
+      ~method_
   in
-  (* node-index effectiveness over the scheduling phase (the global
-     counters are deltas-snapshotted here; exact attribution under
-     sequential cells, i.e. --jobs 1) *)
-  if Metrics.enabled obs.Obs.metrics then begin
-    let idx_reuses1, idx_builds1 = Node.index_counters () in
-    Metrics.add obs.Obs.metrics "ir.index_reuses" (idx_reuses1 - idx_reuses0);
-    Metrics.add obs.Obs.metrics "ir.index_builds" (idx_builds1 - idx_builds0)
-  end;
-  let fuel_exhausted =
-    match stats with
-    | Unifiable_stats s -> s.Unifiable.migrations >= !unifiable_budget
-    | s -> fuel_exhausted_of s
-  in
+  let fuel_exhausted = fuel_exhausted_of ~fuel stats in
   let (rows, pattern), t_converge =
     Obs.timed obs Trace.Converge (fun () ->
         let rows = Schedule_table.rows p in
@@ -414,38 +420,12 @@ let attempt_pipelining ?warm ?capture ~obs ~rank ~horizon ~redundancy
     Option.value max_migrations
       ~default:(Scheduler.default_config ~rank).Scheduler.max_migrations
   in
-  let idx_reuses0, idx_builds0 = Node.index_counters () in
   let* stats, wall_seconds =
     Budget.guard budget (fun () ->
-        Obs.timed obs Trace.Schedule (fun () ->
-            match method_ with
-            | Grip | Grip_no_gap ->
-                let ctx = Ctx.make ~obs p ~machine ~exit_live in
-                let base = Scheduler.default_config ~rank in
-                let config =
-                  {
-                    base with
-                    Scheduler.gap_prevention = (method_ = Grip);
-                    Scheduler.speculation = speculation;
-                    Scheduler.max_migrations = fuel;
-                    Scheduler.budget = budget;
-                  }
-                in
-                Grip_stats (Scheduler.run config ctx)
-            | Post ->
-                let ctx_unlimited =
-                  Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
-                in
-                let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
-                Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
-            | Unifiable -> assert false (* not a ladder rung *)))
+        schedule_phase ~obs ~rank ~horizon ~speculation ~fuel ~budget k p
+          ~machine ~method_)
   in
-  if Metrics.enabled obs.Obs.metrics then begin
-    let idx_reuses1, idx_builds1 = Node.index_counters () in
-    Metrics.add obs.Obs.metrics "ir.index_reuses" (idx_reuses1 - idx_reuses0);
-    Metrics.add obs.Obs.metrics "ir.index_builds" (idx_builds1 - idx_builds0)
-  end;
-  let exhausted = fuel_exhausted_of stats in
+  let exhausted = fuel_exhausted_of ~fuel stats in
   let migrations =
     match stats with
     | Grip_stats st -> st.Scheduler.migrations

@@ -72,7 +72,6 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
       else splice_above p !work
     in
     stats.breaks <- stats.breaks + 1;
-    Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "post.breaks";
     (* move best-ranked unguarded ops up while the new node has room
        and the old one is too full *)
     let progress = ref true in
@@ -174,7 +173,6 @@ let local_repair ~budget (ctx : Ctx.t) rank stats =
             with
             | Some () ->
                 stats.repair_hops <- stats.repair_hops + 1;
-                Metrics.incr ctx.Ctx.obs.Grip_obs.metrics "post.repair_hops";
                 progress := true;
                 changed := true
             | None -> ()
@@ -186,7 +184,9 @@ let local_repair ~budget (ctx : Ctx.t) rank stats =
 (** [run ?budget ctx_unlimited ctx_real ~rank] — full POST pipeline
     over an unwound program.  [ctx_unlimited] and [ctx_real] must share
     the same program.  [budget] is polled through phase 1 (via the
-    scheduler config) and at the break/repair loop heads of phase 2. *)
+    scheduler config) and at the break/repair loop heads of phase 2.
+    Phase 2's counters reach [ctx_real]'s metrics registry when the run
+    ends, also when the budget stops it early. *)
 let run ?(budget = Grip_robust.Budget.unlimited) (ctx_unlimited : Ctx.t)
     (ctx_real : Ctx.t) ~rank =
   assert (ctx_unlimited.Ctx.program == ctx_real.Ctx.program);
@@ -205,6 +205,12 @@ let run ?(budget = Grip_robust.Budget.unlimited) (ctx_unlimited : Ctx.t)
   let stats =
     { breaks = 0; demoted_ops = 0; cj_splits = 0; repair_hops = 0; phase1 }
   in
+  let publish () =
+    let mx = ctx_real.Ctx.obs.Grip_obs.metrics in
+    let put name v = if v > 0 then Metrics.add mx name v in
+    put "post.breaks" stats.breaks;
+    put "post.repair_hops" stats.repair_hops
+  in
   (* Phase 2a: apply resource constraints by node breaking *)
   let rec scan () =
     let offender =
@@ -220,9 +226,10 @@ let run ?(budget = Grip_robust.Budget.unlimited) (ctx_unlimited : Ctx.t)
         break_node ~budget ctx_real rank stats n;
         scan ()
   in
-  scan ();
-  local_repair ~budget ctx_real rank stats;
-  stats
+  Fun.protect ~finally:publish (fun () ->
+      scan ();
+      local_repair ~budget ctx_real rank stats;
+      stats)
 
 let pp_stats ppf s =
   Format.fprintf ppf "breaks=%d demoted=%d cj-splits=%d" s.breaks s.demoted_ops

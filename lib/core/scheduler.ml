@@ -25,18 +25,16 @@ module Machine = Vliw_machine.Machine
 module Ctx = Vliw_percolation.Ctx
 module Migrate = Vliw_percolation.Migrate
 module Move_op = Vliw_percolation.Move_op
-module Move_cj = Vliw_percolation.Move_cj
 module Trace = Grip_obs.Trace
 module Metrics = Grip_obs.Metrics
-module Provenance = Grip_obs.Provenance
 
 (* Machine FU class -> the observability layer's mirror of it (kept
    separate so grip_obs does not depend on the machine model). *)
-let prov_class op =
+let fu_class op =
   match Machine.class_of op with
-  | Machine.Alu -> Provenance.Alu
-  | Machine.Mem -> Provenance.Mem
-  | Machine.Branch -> Provenance.Branch
+  | Machine.Alu -> Trace.Alu
+  | Machine.Mem -> Trace.Mem
+  | Machine.Branch -> Trace.Branch
 
 type stats = {
   mutable nodes_scheduled : int;
@@ -200,11 +198,11 @@ let mask_set b id =
 let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     stats n =
   let p = ctx.Ctx.program in
-  let obs = ctx.Ctx.obs in
-  let tr = obs.Grip_obs.trace and mx = obs.Grip_obs.metrics in
-  let tracing = Grip_obs.Trace.enabled tr in
-  let pv = obs.Grip_obs.prov in
-  let proving = Provenance.enabled pv in
+  let tr = ctx.Ctx.obs.Grip_obs.trace and mx = ctx.Ctx.obs.Grip_obs.metrics in
+  let tracing = Trace.enabled tr in
+  let reject ~op ~node reason =
+    Trace.emit tr (Trace.Migrate_reject { op; node; reason })
+  in
   (* why the most recent allow_hop veto happened; read by on_suspend,
      which Migrate calls synchronously right after the veto *)
   let suspend_reason = ref "gap prevention" in
@@ -273,7 +271,7 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
           else if config.gap_prevention && not (Gapless.ok ctx ~from_ ~to_ ~op)
           then begin
             suspend_reason :=
-              (if proving then Gapless.explain ~from_ ~op
+              (if tracing then Gapless.explain ~from_ ~op
                else "gap prevention");
             false
           end
@@ -281,13 +279,10 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
       Migrate.on_suspend =
         (fun op ->
           stats.suspensions <- stats.suspensions + 1;
-          Metrics.incr mx "scheduler.suspensions";
-          let node = Program.home_int p op.Operation.id in
           if tracing then
-            Trace.emit tr (Trace.Migrate_suspend { op = op.Operation.id; node });
-          if proving then
-            Provenance.record_reject pv ~op:op.Operation.id ~node
-              (Provenance.Suspended !suspend_reason);
+            reject ~op:op.Operation.id
+              ~node:(Program.home_int p op.Operation.id)
+              (Trace.Suspended !suspend_reason);
           suspend op.Operation.id);
       Migrate.early_stop = (fun ~moved -> moved > 0 && !suspended_count > 0);
     }
@@ -346,16 +341,15 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
     | Some best ->
         if stats.migrations >= config.max_migrations then begin
           stats.fuel_exhausted <- true;
-          if proving then
-            Provenance.record_reject pv ~op:best.Operation.id
+          if tracing then
+            reject ~op:best.Operation.id
               ~node:(Program.home_int p best.Operation.id)
-              Provenance.Fuel;
+              Trace.Fuel;
           continue_ := false
         end
         else begin
           scratch.att_mask <- mask_set scratch.att_mask best.Operation.id;
           stats.migrations <- stats.migrations + 1;
-          Metrics.incr mx "scheduler.migrations";
           if tracing then
             Trace.emit tr
               (Trace.Migrate_attempt { op = best.Operation.id; target = n });
@@ -363,16 +357,12 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
             Migrate.migrate ctx ~hooks ~target:n ~op_id:best.Operation.id ()
           in
           stats.hops <- stats.hops + r.Migrate.moved;
-          Metrics.add mx "scheduler.hops" r.Migrate.moved;
           Metrics.observe mx "scheduler.travel_distance" r.Migrate.moved;
-          if r.Migrate.reached_target then begin
-            stats.reached <- stats.reached + 1;
-            Metrics.incr mx "scheduler.reached"
-          end;
-          let stop_node () = Program.home_int p r.Migrate.final_id in
-          let reject reason =
-            Provenance.record_reject pv ~op:r.Migrate.final_id
-              ~node:(stop_node ()) reason
+          if r.Migrate.reached_target then stats.reached <- stats.reached + 1;
+          let stopped reason =
+            reject ~op:r.Migrate.final_id
+              ~node:(Program.home_int p r.Migrate.final_id)
+              reason
           in
           (match r.Migrate.last_failure with
           | Some (Migrate.Op Move_op.No_room) ->
@@ -380,30 +370,16 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
                  barrier (section 3.2) *)
               stats.resource_barrier_events <-
                 stats.resource_barrier_events + 1;
-              Metrics.incr mx "scheduler.barriers";
-              if tracing then
-                Trace.emit tr
-                  (Trace.Migrate_barrier
-                     { op = r.Migrate.final_id; node = stop_node () });
-              if proving then
-                reject (Provenance.Resource_barrier (prov_class best))
-          | Some
-              ( Migrate.Op
-                  ( Move_op.True_dependence o
-                  | Move_op.Mem_dependence o )
-              | Migrate.Cj (Move_cj.True_dependence o) ) ->
-              (* the why-not table only charges a dependence when it
-                 actually kept the op short of its target *)
-              if proving && not r.Migrate.reached_target then
-                reject (Provenance.Dep o.Operation.id)
+              if tracing then stopped (Trace.Resource_barrier (fu_class best))
           | Some Migrate.Suspended | None ->
-              (* suspensions were journalled by on_suspend already *)
+              (* suspensions were emitted by on_suspend already *)
               ()
           | Some f ->
-              if proving && not r.Migrate.reached_target then
-                reject
-                  (Provenance.Structural
-                     (Format.asprintf "%a" Migrate.pp_failure f)));
+              (* the why-not table only charges a dependence or a
+                 structural failure when it actually kept the op short
+                 of its target *)
+              if tracing && not r.Migrate.reached_target then
+                stopped (Migrate.reason f));
           (match on_move with
           | Some f when r.Migrate.moved > 0 -> f ~op:best ~outcome:r
           | Some _ | None -> ());
@@ -414,13 +390,11 @@ let schedule_node ?on_move (config : config) (ctx : Ctx.t) (scratch : scratch)
         end
   done
 
-(** [run ?on_move config ctx] schedules the whole program top-down.
-    Nodes created during scheduling (splits, conditional-arm copies)
-    are scheduled when the traversal reaches them. *)
-let run ?on_move (config : config) (ctx : Ctx.t) =
-  let p = ctx.Ctx.program in
-  let stats = fresh_stats () in
-  let scratch = fresh_scratch () in
+(** [top_down p schedule] calls [schedule n] on every non-exit node
+    of [p] in reverse postorder, each node once.  Nodes created while
+    scheduling (splits, conditional-arm copies) are scheduled when the
+    traversal reaches them. *)
+let top_down (p : Program.t) schedule =
   let scheduled : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   (* Worklist cursor over the reverse-postorder listing: consecutive
      calls resume from the remainder instead of rescanning (and
@@ -449,12 +423,36 @@ let run ?on_move (config : config) (ctx : Ctx.t) =
     | None -> ()
     | Some n ->
         Hashtbl.replace scheduled n ();
-        schedule_node ?on_move config ctx scratch stats n;
-        stats.nodes_scheduled <- stats.nodes_scheduled + 1;
+        schedule n;
         loop ()
   in
-  loop ();
-  stats
+  loop ()
+
+(* The stats are the run's only counters: published into the metrics
+   registry once, when the run ends.  A counter that stayed at zero is
+   not created, so a metrics dump lists only what happened; the hop
+   counter exists once any migration ran, even one that made no hop. *)
+let publish mx s =
+  let put name v = if v > 0 then Metrics.add mx name v in
+  put "scheduler.migrations" s.migrations;
+  if s.migrations > 0 then Metrics.add mx "scheduler.hops" s.hops;
+  put "scheduler.reached" s.reached;
+  put "scheduler.suspensions" s.suspensions;
+  put "scheduler.barriers" s.resource_barrier_events
+
+(** [run ?on_move config ctx] schedules the whole program top-down
+    ({!top_down}).  Its counters reach the metrics registry also when
+    the budget stops the run early. *)
+let run ?on_move (config : config) (ctx : Ctx.t) =
+  let stats = fresh_stats () in
+  let scratch = fresh_scratch () in
+  Fun.protect
+    ~finally:(fun () -> publish ctx.Ctx.obs.Grip_obs.metrics stats)
+    (fun () ->
+      top_down ctx.Ctx.program (fun n ->
+          schedule_node ?on_move config ctx scratch stats n;
+          stats.nodes_scheduled <- stats.nodes_scheduled + 1);
+      stats)
 
 let pp_stats ppf s =
   Format.fprintf ppf

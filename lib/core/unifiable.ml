@@ -17,10 +17,8 @@
 open Vliw_ir
 module Ctx = Vliw_percolation.Ctx
 module Migrate = Vliw_percolation.Migrate
-module Move_op = Vliw_percolation.Move_op
-module Move_cj = Vliw_percolation.Move_cj
 module Ddg = Vliw_analysis.Ddg
-module Provenance = Grip_obs.Provenance
+module Trace = Grip_obs.Trace
 
 type stats = {
   mutable nodes_scheduled : int;
@@ -134,34 +132,26 @@ let schedule_node ?on_sched ~last_dom_version (config : config) (ctx : Ctx.t)
           match on_sched with Some f -> f ~op:best ~node:n | None -> ()
         end
         else begin
-          (* Journal why the attempt fell short.  Hops of a rolled-back
-             walk stay in the journal on purpose: for this baseline the
+          (* Trace why the attempt fell short.  Hops of a rolled-back
+             walk stay in the trace on purpose: for this baseline the
              wasted motion IS the story (the cost GRiP's in-place
-             compaction avoids). *)
-          let pv = ctx.Ctx.obs.Grip_obs.prov in
-          if Provenance.enabled pv then begin
-            let reason =
-              match r.Migrate.last_failure with
-              | Some
-                  ( Migrate.Op
-                      ( Move_op.True_dependence o
-                      | Move_op.Mem_dependence o )
-                  | Migrate.Cj (Move_cj.True_dependence o) ) ->
-                  Provenance.Dep o.Operation.id
-              | Some f ->
-                  Provenance.Structural
-                    (Format.asprintf "%a" Migrate.pp_failure f)
-              | None -> Provenance.Structural "short of target"
+             compaction avoids).  A full node is one more structural
+             failure here: with rollback, no resource barrier forms. *)
+          let tr = ctx.Ctx.obs.Grip_obs.trace in
+          if Trace.enabled tr then begin
+            let reject ~node reason =
+              Trace.emit tr
+                (Trace.Migrate_reject { op = r.Migrate.final_id; node; reason })
             in
-            Provenance.record_reject pv ~op:r.Migrate.final_id
+            reject
               ~node:
                 (Option.value ~default:(-1)
                    (Program.home p r.Migrate.final_id))
-              reason;
+              (match r.Migrate.last_failure with
+              | Some f -> Migrate.reason f
+              | None -> Trace.Structural "short of target");
             if r.Migrate.moved > 0 then
-              Provenance.record_reject pv ~op:r.Migrate.final_id
-                ~node:n
-                (Provenance.Structural "rolled back (short of target)")
+              reject ~node:n (Trace.Structural "rolled back (short of target)")
           end;
           if r.Migrate.moved > 0 then begin
             (* fell short: undo, preserving "no compaction below n" *)
@@ -172,43 +162,15 @@ let schedule_node ?on_sched ~last_dom_version (config : config) (ctx : Ctx.t)
   done
 
 (** [run ?on_sched config ctx] — top-down traversal, as in the GRiP
-    driver; [on_sched] fires after each operation reaches the node
-    being scheduled (used to render the Figure 8 trace). *)
+    driver ({!Scheduler.top_down}); [on_sched] fires after each
+    operation reaches the node being scheduled (used to render the
+    Figure 8 trace). *)
 let run ?on_sched (config : config) (ctx : Ctx.t) =
-  let p = ctx.Ctx.program in
   let stats = fresh_stats () in
   let last_dom_version = ref None in
-  let scheduled : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Worklist cursor over the reverse-postorder listing: consecutive
-     calls resume from the remainder instead of rescanning the full
-     RPO from the start (the scheduled set only grows, so skipped
-     prefixes stay skippable); only a program-version change — node
-     splits, conditional-arm copies — forces a fresh RPO walk. *)
-  let cursor = ref (Program.version p, Program.rpo p) in
-  let rec next () =
-    let v = Program.version p in
-    let v', rest = !cursor in
-    let rest = if v' = v then rest else Program.rpo p in
-    match rest with
-    | [] ->
-        cursor := (v, []);
-        None
-    | id :: tl ->
-        cursor := (v, tl);
-        if (not (Program.is_exit p id)) && not (Hashtbl.mem scheduled id) then
-          Some id
-        else next ()
-  in
-  let rec loop () =
-    match next () with
-    | None -> ()
-    | Some n ->
-        Hashtbl.replace scheduled n ();
-        schedule_node ?on_sched ~last_dom_version config ctx stats n;
-        stats.nodes_scheduled <- stats.nodes_scheduled + 1;
-        loop ()
-  in
-  loop ();
+  Scheduler.top_down ctx.Ctx.program (fun n ->
+      schedule_node ?on_sched ~last_dom_version config ctx stats n;
+      stats.nodes_scheduled <- stats.nodes_scheduled + 1);
   stats
 
 let pp_stats ppf s =

@@ -2,7 +2,8 @@
 
     Pure data-plane module: the caller (normally [Grip.Explain]) feeds
     it the kernel's dependence edges, the machine width, the achieved
-    steady-state rate and the provenance totals; this module computes
+    steady-state rate, the scheduler's suspension and barrier counts
+    and the journals' top blockers; this module computes
     the two classic lower bounds on cycles-per-iteration,
 
     - [rec_mii]: the recurrence bound — over every dependence cycle,

@@ -4,10 +4,12 @@
     analyzer ({!Bottleneck}), bench-artifact diffing ({!Bench_diff}),
     and the minimal JSON layer they all share ({!Json}).
 
-    A {!t} bundles one tracer, one metrics registry and one provenance
-    recorder, and is threaded through the percolation context
-    ([Vliw_percolation.Ctx]) and the pipeline drivers.  {!null} — the
-    default everywhere — disables all three: instrumented hot paths
+    A {!t} bundles one tracer and one metrics registry, and is threaded
+    through the percolation context ([Vliw_percolation.Ctx]) and the
+    pipeline drivers.  Provenance journals are a trace sink
+    ([Provenance.tracer]), and the scheduler's counters are published
+    into the registry from its stats at the end of a run.  {!null} —
+    the default everywhere — disables both: instrumented hot paths
     guard on [enabled] so an unobserved run pays a boolean test per
     site and nothing else. *)
 
@@ -22,18 +24,14 @@ module Profile = Profile
 module Hdr = Hdr
 module Openmetrics = Openmetrics
 
-type t = { trace : Trace.t; metrics : Metrics.t; prov : Provenance.t }
+type t = { trace : Trace.t; metrics : Metrics.t }
 
-let null =
-  { trace = Trace.null; metrics = Metrics.disabled; prov = Provenance.null }
+let null = { trace = Trace.null; metrics = Metrics.disabled }
 
-let make ?(trace = Trace.null) ?(metrics = Metrics.disabled)
-    ?(prov = Provenance.null) () =
-  { trace; metrics; prov }
+let make ?(trace = Trace.null) ?(metrics = Metrics.disabled) () =
+  { trace; metrics }
 
-let enabled t =
-  Trace.enabled t.trace || Metrics.enabled t.metrics
-  || Provenance.enabled t.prov
+let enabled t = Trace.enabled t.trace || Metrics.enabled t.metrics
 
 (** [timed t phase f] — run [f] inside a [phase] span, accumulate its
     wall time under [phase.<name>], and return (result, seconds).  The

@@ -8,6 +8,10 @@
 
     Conventional names used by the scheduling stack:
     - [scheduler.migrations / hops / reached / suspensions / barriers]
+      and [post.breaks / repair_hops] — published once from the
+      scheduler's stats record when a run ends (also when its budget
+      stops it), not bumped per event: the stats are the only counter
+      of these facts
     - [scheduler.rpo_rebuilds / rpo_rebuilds_saved] (the cached
       rule-3 reverse-postorder index)
     - [hist scheduler.travel_distance] — hops per migration

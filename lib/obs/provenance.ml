@@ -2,71 +2,38 @@
     every accepted hop of its migration (with the core transformation
     that performed it), and every rejection with a typed reason.
 
-    The recorder hangs off the shared observability handle
-    ({!Grip_obs.t}); {!null} — the default — keeps [enabled] false so
-    instrumented hot paths pay one boolean test per site, exactly like
-    the trace and metrics sinks.  Producers:
+    A journal set is a trace sink: {!tracer} folds the [Migrate_hop]
+    and [Migrate_reject] events of {!Trace} into journals and ignores
+    every other event, so journaling is switched on by handing
+    [tracer (create ())] to the observability handle (or
+    [Trace.tee]-ing it with another tracer).  The producers are the
+    trace's: [Vliw_percolation.Migrate] emits accepted hops (journals
+    follow operation renames across node splits, so a journal survives
+    its operation being cloned); the GRiP scheduler emits one rejection
+    per migration from the migration's last failure, suspensions (with
+    the gap-prevention / speculation reason) and fuel exhaustion; the
+    Unifiable baseline emits rollbacks and the failures that caused
+    them.
 
-    - [Vliw_percolation.Migrate] records accepted hops (and follows
-      operation renames across node splits, so a journal survives its
-      operation being cloned);
-    - the GRiP scheduler records one rejection per migration from the
-      migration's last failure, suspensions (with the gap-prevention /
-      speculation reason), and fuel exhaustion;
-    - the Unifiable baseline records rollbacks and the failures that
-      caused them.
+    Each journalled hop, suspension and barrier is one trace event
+    emitted at the site that counts it in the scheduler's stats, so the
+    journal totals are the trace's tallies: [total_hops] counts the
+    run's [Migrate_hop] events, [total_suspensions] and
+    [total_barriers] its suspend and barrier rejections. *)
 
-    The journal totals are, by construction, the scheduler's own
-    counters: [total_hops] equals [scheduler.hops],
-    [total_suspensions] equals [scheduler.suspensions] and
-    [total_barriers] equals [scheduler.barriers] for the same run — the
-    replay invariant the test suite enforces. *)
+type fu_class = Trace.fu_class = Alu | Mem | Branch
+type rule = Trace.rule = Move_op | Move_cj
 
-(** Functional-unit class of a rejected operation — mirrors
-    [Vliw_machine.Machine.fu_class] without creating a dependency from
-    the observability layer onto the machine model. *)
-type fu_class = Alu | Mem | Branch
-
-let fu_class_name = function Alu -> "alu" | Mem -> "mem" | Branch -> "branch"
-
-(** The core transformation that performed a hop.  [Unification] is
-    reserved for the paper's unify rule (merging a moved operation with
-    an identical one already in the target); the current engine removes
-    duplicates during redundancy elimination instead, so journals never
-    carry it today, but the taxonomy — and the artifact schema — keep
-    the slot. *)
-type rule = Move_op | Move_cj | Unification
-
-let rule_name = function
-  | Move_op -> "move_op"
-  | Move_cj -> "move_cj"
-  | Unification -> "unification"
-
-(** Why a migration was stopped. *)
-type reason =
-  | Dep of int  (** true/memory dependence on the given operation id *)
+type reason = Trace.reason =
+  | Dep of int
   | Resource_barrier of fu_class
-      (** a full node short of the target (paper section 3.2) *)
-  | Suspended of string  (** gap prevention / speculation policy veto *)
-  | Fuel  (** the migration budget ran out before this operation moved *)
+  | Suspended of string
+  | Fuel
   | Structural of string
-      (** anything else (guarded by a conditional, write-live with
-          renaming off, operation vanished mid-walk) *)
 
-let reason_name = function
-  | Dep _ -> "dep"
-  | Resource_barrier _ -> "resource_barrier"
-  | Suspended _ -> "suspended"
-  | Fuel -> "fuel"
-  | Structural _ -> "structural"
-
-let pp_reason ppf = function
-  | Dep id -> Format.fprintf ppf "dependence on op%d" id
-  | Resource_barrier c ->
-      Format.fprintf ppf "resource barrier (%s slot)" (fu_class_name c)
-  | Suspended why -> Format.fprintf ppf "suspended: %s" why
-  | Fuel -> Format.pp_print_string ppf "migration budget exhausted"
-  | Structural why -> Format.fprintf ppf "%s" why
+let rule_name = Trace.rule_name
+let reason_name = Trace.reason_name
+let pp_reason = Trace.pp_reason
 
 type hop = { from_ : int; to_ : int; rule : rule }
 type rejection = { node : int; reason : reason }
@@ -80,15 +47,10 @@ type journal = {
 }
 
 type t = {
-  enabled : bool;
-      (** producers must skip recording (and payload construction)
-          entirely when false *)
   journals : (int, journal) Hashtbl.t;  (** keyed by current op id *)
 }
 
-let null = { enabled = false; journals = Hashtbl.create 0 }
-let create () = { enabled = true; journals = Hashtbl.create 64 }
-let enabled t = t.enabled
+let create () = { journals = Hashtbl.create 64 }
 
 let find_or_create t ~op ~home =
   match Hashtbl.find_opt t.journals op with
@@ -100,30 +62,28 @@ let find_or_create t ~op ~home =
       Hashtbl.replace t.journals op j;
       j
 
-(** [record_hop t ~op ~op' ~from_ ~to_ ~rule] — one accepted hop of
-    [op] from node [from_] into [to_].  When the transformation renamed
-    the operation ([op' <> op], e.g. the landing path was isolated and
-    the clone kept the original id), the journal follows the new
-    identity and remembers the old one as an alias. *)
-let record_hop t ~op ~op' ~from_ ~to_ ~rule =
-  if t.enabled then begin
-    let j = find_or_create t ~op ~home:from_ in
-    j.hops <- { from_; to_; rule } :: j.hops;
-    if op' <> op then begin
-      Hashtbl.remove t.journals op;
-      j.aliases <- op :: j.aliases;
-      j.id <- op';
-      Hashtbl.replace t.journals op' j
-    end
-  end
-
-(** [record_reject t ~op ~node reason] — [op], currently at [node], was
-    stopped for [reason]. *)
-let record_reject t ~op ~node reason =
-  if t.enabled then begin
-    let j = find_or_create t ~op ~home:node in
-    j.rejections <- { node; reason } :: j.rejections
-  end
+(** [tracer t] — a tracer that journals every migration event it
+    receives into [t].  A hop whose move renamed the operation
+    ([op <> prev_op], e.g. the landing path was isolated and the clone
+    kept the original id) moves the journal to the new identity, which
+    remembers the old one as an alias. *)
+let tracer t =
+  let record = function
+    | Trace.Migrate_hop { op; prev_op; from_; to_; rule } ->
+        let j = find_or_create t ~op:prev_op ~home:from_ in
+        j.hops <- { from_; to_; rule } :: j.hops;
+        if op <> prev_op then begin
+          Hashtbl.remove t.journals prev_op;
+          j.aliases <- prev_op :: j.aliases;
+          j.id <- op;
+          Hashtbl.replace t.journals op j
+        end
+    | Trace.Migrate_reject { op; node; reason } ->
+        let j = find_or_create t ~op ~home:node in
+        j.rejections <- { node; reason } :: j.rejections
+    | _ -> ()
+  in
+  Trace.make { Trace.emit = (fun ~ts:_ ev -> record ev); flush = ignore }
 
 let journal t op = Hashtbl.find_opt t.journals op
 
@@ -136,7 +96,7 @@ let journals t =
 let journey j = List.rev j.hops
 let rejections j = List.rev j.rejections
 
-(* -- totals (the replay invariant's left-hand side) ----------------------- *)
+(* -- totals ----------------------------------------------------------------- *)
 
 let fold_journals t f init =
   Hashtbl.fold (fun _ j acc -> f acc j) t.journals init

@@ -2,16 +2,23 @@
 
     Producers (the percolation engine, the scheduler, the pipeline
     driver, the robustness guards) emit {!event}s through a {!t}; the
-    sink decides what happens to them.  Four sinks are provided:
+    sink decides what happens to them.  Sinks provided here:
 
     - {!null} — the default; [enabled] is false so producers skip even
       event construction (the hot paths guard on it), making the cost
       of an untraced run a pointer test per emission site;
     - {!ring} — a bounded in-memory ring buffer, the replay surface for
       tests and for post-run rendering;
-    - {!log} — a human-readable line per event on a formatter;
     - {!chrome} — incremental Chrome [trace_event] JSON (load the file
-      in chrome://tracing or ui.perfetto.dev).
+      in chrome://tracing or ui.perfetto.dev);
+    - [Provenance.tracer] — folds the migration events into
+      per-operation journals;
+    - {!tee} — one tracer feeding two of the above.
+
+    Each migration fact is one event: an attempt, a hop (with the rule
+    that performed it) or a rejection (with its typed reason).  The
+    scheduler's stats count the same facts, so a trace tallies to the
+    stats of the run that produced it.
 
     Timestamps are wall-clock seconds from [Unix.gettimeofday],
     converted to microseconds relative to the tracer's creation when
@@ -34,17 +41,62 @@ let phase_name = function
   | Measure -> "measure"
   | Stage s -> s
 
+(** Functional-unit class of a rejected operation — mirrors
+    [Vliw_machine.Machine.fu_class] without creating a dependency from
+    the observability layer onto the machine model. *)
+type fu_class = Alu | Mem | Branch
+
+let fu_class_name = function Alu -> "alu" | Mem -> "mem" | Branch -> "branch"
+
+(** The core transformation that performed a hop: the paper's two
+    migration rules. *)
+type rule = Move_op | Move_cj
+
+let rule_name = function Move_op -> "move_op" | Move_cj -> "move_cj"
+
+(** Why a migration was stopped. *)
+type reason =
+  | Dep of int  (** true/memory dependence on the given operation id *)
+  | Resource_barrier of fu_class
+      (** a full node short of the target (paper section 3.2) *)
+  | Suspended of string  (** gap prevention / speculation policy veto *)
+  | Fuel  (** the migration budget ran out before this operation moved *)
+  | Structural of string
+      (** anything else (guarded by a conditional, write-live with
+          renaming off, operation vanished mid-walk) *)
+
+let reason_name = function
+  | Dep _ -> "dep"
+  | Resource_barrier _ -> "resource_barrier"
+  | Suspended _ -> "suspended"
+  | Fuel -> "fuel"
+  | Structural _ -> "structural"
+
+let pp_reason ppf = function
+  | Dep id -> Format.fprintf ppf "dependence on op%d" id
+  | Resource_barrier c ->
+      Format.fprintf ppf "resource barrier (%s slot)" (fu_class_name c)
+  | Suspended why -> Format.fprintf ppf "suspended: %s" why
+  | Fuel -> Format.pp_print_string ppf "migration budget exhausted"
+  | Structural why -> Format.fprintf ppf "%s" why
+
 type event =
   | Span_begin of phase
   | Span_end of phase
   | Migrate_attempt of { op : int; target : int }
       (** the scheduler launched a migration of [op] toward [target] *)
-  | Migrate_hop of { op : int; from_ : int; to_ : int }
-      (** one successful one-node move *)
-  | Migrate_suspend of { op : int; node : int }
-      (** gap prevention vetoed the hop; [op] suspended at [node] *)
-  | Migrate_barrier of { op : int; node : int }
-      (** a full node short of the target blocked [op] (section 3.2) *)
+  | Migrate_hop of {
+      op : int;
+      prev_op : int;
+      from_ : int;
+      to_ : int;
+      rule : rule;
+    }
+      (** one successful one-node move by [rule]; [op] is the id after
+          the hop, [prev_op] the id before it (they differ when the
+          move cloned the operation) *)
+  | Migrate_reject of { op : int; node : int; reason : reason }
+      (** [op], at [node], was stopped for [reason] *)
   | Guard_verdict of { guard : string; ok : bool; detail : string }
   | Descent of { rung : string; reason : string }
       (** the degradation ladder abandoned [rung] *)
@@ -82,8 +134,9 @@ let event_name = function
   | Span_end p -> "end:" ^ phase_name p
   | Migrate_attempt _ -> "migrate.attempt"
   | Migrate_hop _ -> "migrate.hop"
-  | Migrate_suspend _ -> "migrate.suspend"
-  | Migrate_barrier _ -> "migrate.barrier"
+  | Migrate_reject { reason = Suspended _; _ } -> "migrate.suspend"
+  | Migrate_reject { reason = Resource_barrier _; _ } -> "migrate.barrier"
+  | Migrate_reject _ -> "migrate.reject"
   | Guard_verdict _ -> "guard"
   | Descent _ -> "descent"
   | Task_retry _ -> "supervise.retry"
@@ -95,43 +148,6 @@ let event_name = function
   | Runtime_mark { kind; _ } -> "runtime." ^ kind
   | Request_stage { stage; _ } -> "request." ^ stage
   | Note _ -> "note"
-
-let pp_event ppf = function
-  | Span_begin p -> Format.fprintf ppf "begin %s" (phase_name p)
-  | Span_end p -> Format.fprintf ppf "end %s" (phase_name p)
-  | Migrate_attempt { op; target } ->
-      Format.fprintf ppf "migrate op%d -> n%d" op target
-  | Migrate_hop { op; from_; to_ } ->
-      Format.fprintf ppf "hop op%d n%d -> n%d" op from_ to_
-  | Migrate_suspend { op; node } ->
-      Format.fprintf ppf "suspend op%d at n%d" op node
-  | Migrate_barrier { op; node } ->
-      Format.fprintf ppf "barrier op%d at n%d" op node
-  | Guard_verdict { guard; ok; detail } ->
-      Format.fprintf ppf "guard %s: %s%s" guard
-        (if ok then "pass" else "FAIL")
-        (if detail = "" then "" else " (" ^ detail ^ ")")
-  | Descent { rung; reason } ->
-      Format.fprintf ppf "descend from %s: %s" rung reason
-  | Task_retry { task; attempt; reason } ->
-      Format.fprintf ppf "retry task %d (attempt %d): %s" task attempt reason
-  | Task_shed { task; rung } ->
-      Format.fprintf ppf "shed task %d to %s" task rung
-  | Task_quarantine { task; attempts; reason } ->
-      Format.fprintf ppf "quarantine task %d after %d attempts: %s" task
-        attempts reason
-  | Worker_restart { worker; generation } ->
-      Format.fprintf ppf "restart worker %d (generation %d)" worker generation
-  | Watchdog_gap { worker; task; gap; cause } ->
-      Format.fprintf ppf "worker %d starved %.3fs on task %d (%s)" worker gap
-        task cause
-  | Runtime_span { domain; kind; dur } ->
-      Format.fprintf ppf "runtime %s on domain %d (%.6fs)" kind domain dur
-  | Runtime_mark { domain; kind } ->
-      Format.fprintf ppf "runtime %s on domain %d" kind domain
-  | Request_stage { id; stage } ->
-      Format.fprintf ppf "request %d: %s" id stage
-  | Note s -> Format.pp_print_string ppf s
 
 (* -- sinks ---------------------------------------------------------------- *)
 
@@ -166,8 +182,23 @@ let emit t ev = if t.enabled then t.sink.emit ~ts:(Unix.gettimeofday ()) ev
 
 let flush t = if t.enabled then t.sink.flush ()
 
-(** [custom ?flush emit] — a user-supplied sink. *)
-let custom ?(flush = ignore) emit = make { emit; flush }
+(** [tee a b] — one tracer delivering every event to both [a] and [b]
+    (e.g. a ring for replay and provenance journals). *)
+let tee a b =
+  if not a.enabled then b
+  else if not b.enabled then a
+  else
+    make
+      {
+        emit =
+          (fun ~ts ev ->
+            a.sink.emit ~ts ev;
+            b.sink.emit ~ts ev);
+        flush =
+          (fun () ->
+            a.sink.flush ();
+            b.sink.flush ());
+      }
 
 (* ring buffer *)
 
@@ -196,25 +227,17 @@ let ring_events r =
     (fun i -> r.buf.(i mod r.cap))
     (List.init (r.next - start) (fun i -> start + i))
 
-(* human log *)
-
-let log ppf =
-  make
-    {
-      emit = (fun ~ts ev -> Format.fprintf ppf "[%17.6f] %a@." ts pp_event ev);
-      flush = (fun () -> Format.pp_print_flush ppf ());
-    }
-
 (* Chrome trace_event JSON *)
 
 let chrome_args = function
   | Span_begin _ | Span_end _ -> []
   | Migrate_attempt { op; target } ->
       [ ("op", Json.int op); ("target", Json.int target) ]
-  | Migrate_hop { op; from_; to_ } ->
+  | Migrate_hop { op; from_; to_; _ } ->
       [ ("op", Json.int op); ("from", Json.int from_); ("to", Json.int to_) ]
-  | Migrate_suspend { op; node } | Migrate_barrier { op; node } ->
-      [ ("op", Json.int op); ("node", Json.int node) ]
+  | Migrate_reject { op; node; reason } ->
+      [ ("op", Json.int op); ("node", Json.int node);
+        ("reason", Json.Str (Format.asprintf "%a" pp_reason reason)) ]
   | Guard_verdict { guard; ok; detail } ->
       [ ("guard", Json.Str guard); ("ok", Json.Bool ok);
         ("detail", Json.Str detail) ]
@@ -321,7 +344,7 @@ let flow_records ~t0 events =
   List.iter
     (fun (ts, ev) ->
       match ev with
-      | Migrate_hop { op; from_; to_ } ->
+      | Migrate_hop { op; from_; to_; _ } ->
           (match Hashtbl.find_opt tbl op with
           | Some hops -> hops := (ts, from_, to_) :: !hops
           | None ->

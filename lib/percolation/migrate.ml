@@ -53,22 +53,29 @@ type outcome = {
   last_failure : failure option;
 }
 
+(** [reason f] — the rejection reason a walk that failed with [f]
+    reports: a dependence names the blocking operation, anything else
+    is structural.  Drivers that treat [Op No_room] or [Suspended]
+    specially match those first. *)
+let reason = function
+  | Op (Move_op.True_dependence o | Move_op.Mem_dependence o)
+  | Cj (Move_cj.True_dependence o) ->
+      Grip_obs.Trace.Dep o.Operation.id
+  | f -> Grip_obs.Trace.Structural (Format.asprintf "%a" pp_failure f)
+
 (* Attempt one hop of [op] from [s] into [n]; returns the (possibly
    new) op id on success.  Successful hops are the migration-level
-   trace: one [Migrate_hop] event each (attempts, suspensions and
-   barriers are emitted by the driving scheduler, which owns that
-   bookkeeping). *)
+   trace: one [Migrate_hop] event each (attempts and rejections are
+   emitted by the driving scheduler, which owns that bookkeeping). *)
 let hop (ctx : Ctx.t) hooks ~from_:s ~to_:n ~op_id =
   let p = ctx.Ctx.program in
-  let record_hop ~rule op' =
-    let obs = ctx.Ctx.obs in
-    let tr = obs.Grip_obs.trace in
+  let landed ~rule op' =
+    let tr = ctx.Ctx.obs.Grip_obs.trace in
     if Grip_obs.Trace.enabled tr then
       Grip_obs.Trace.emit tr
-        (Grip_obs.Trace.Migrate_hop { op = op'; from_ = s; to_ = n });
-    let pv = obs.Grip_obs.prov in
-    if Grip_obs.Provenance.enabled pv then
-      Grip_obs.Provenance.record_hop pv ~op:op_id ~op' ~from_:s ~to_:n ~rule
+        (Grip_obs.Trace.Migrate_hop
+           { op = op'; prev_op = op_id; from_ = s; to_ = n; rule });
+    Ok op'
   in
   match (if Program.home_int p op_id = s then Program.stored_op p op_id else None)
   with
@@ -80,17 +87,11 @@ let hop (ctx : Ctx.t) hooks ~from_:s ~to_:n ~op_id =
       end
       else if Operation.is_cjump op then
         match Move_cj.move ctx ~from_:s ~to_:n ~cj_id:op_id with
-        | Ok r ->
-            record_hop ~rule:Grip_obs.Provenance.Move_cj
-              r.Move_cj.cj.Operation.id;
-            Ok r.Move_cj.cj.Operation.id
+        | Ok r -> landed ~rule:Grip_obs.Trace.Move_cj r.Move_cj.cj.Operation.id
         | Error f -> Error (Cj f)
       else
         match Move_op.move ctx ~from_:s ~to_:n ~op_id with
-        | Ok r ->
-            record_hop ~rule:Grip_obs.Provenance.Move_op
-              r.Move_op.op.Operation.id;
-            Ok r.Move_op.op.Operation.id
+        | Ok r -> landed ~rule:Grip_obs.Trace.Move_op r.Move_op.op.Operation.id
         | Error f -> Error (Op f)
 
 (* Walk state threaded through the top-level recursion below: one

@@ -265,7 +265,7 @@ let test_occupancy_window_sums () =
    narrowest and widest machine. *)
 let check_rendered name fu =
   let prov = Provenance.create () in
-  let obs = Obs.make ~prov () in
+  let obs = Obs.make ~trace:(Provenance.tracer prov) () in
   let o =
     Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous fu)
       ~method_:Pipeline.Grip

@@ -1,7 +1,8 @@
 (* Observability subsystem: JSON encoding/parsing, metrics, trace
    sinks, and the invariant that ties them to the schedulers — the
    migration events recorded during the Schedule phase replay exactly
-   to the scheduler's own counters. *)
+   to the scheduler's own counters, and the metrics and journals
+   derived from those two agree with both. *)
 
 module Obs = Grip_obs
 module Json = Grip_obs.Json
@@ -278,72 +279,149 @@ let tally events =
       match ev with
       | Trace.Migrate_attempt _ -> { r with attempts = r.attempts + 1 }
       | Trace.Migrate_hop _ -> { r with hops = r.hops + 1 }
-      | Trace.Migrate_suspend _ -> { r with suspends = r.suspends + 1 }
-      | Trace.Migrate_barrier _ -> { r with barriers = r.barriers + 1 }
+      | Trace.Migrate_reject { reason = Trace.Suspended _; _ } ->
+          { r with suspends = r.suspends + 1 }
+      | Trace.Migrate_reject { reason = Trace.Resource_barrier _; _ } ->
+          { r with barriers = r.barriers + 1 }
       | _ -> r)
     { attempts = 0; hops = 0; suspends = 0; barriers = 0 }
     events
 
 let replay_of events = tally (schedule_events events)
 
-(* Scheduling a kernel while recording to a ring buffer, then replaying
-   the migration events, must reconstruct the scheduler's own counters:
-   the trace is a faithful, lossless account of what the scheduler did.
-   POST's phase 2 (break/repair) moves operations directly rather than
-   through Migrate, so its replay matches the phase-1 counters. *)
-let check_replay name method_ fu =
+module Provenance = Obs.Provenance
+
+(* One scheduling run seen by every sink at once: a ring buffer teed
+   with provenance journals, plus a metrics registry. *)
+type observed = {
+  outcome : Pipeline.outcome;
+  ring : Trace.ring;
+  journals : Provenance.t;
+  metrics : Metrics.t;
+}
+
+let observe name method_ fu =
   let ring, tracer = Trace.ring () in
-  let obs = Obs.make ~trace:tracer () in
-  let o =
+  let journals = Provenance.create () in
+  let metrics = Metrics.create () in
+  let obs =
+    Obs.make ~trace:(Trace.tee tracer (Provenance.tracer journals)) ~metrics ()
+  in
+  let outcome =
     Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous fu) ~method_
   in
-  Alcotest.(check int) "ring did not overflow" 0 (Trace.ring_dropped ring);
-  let r = replay_of (Trace.ring_events ring) in
-  let ctx = Printf.sprintf "%s/%s/%dFU" name (Pipeline.method_name method_) fu in
-  let expect (s : Scheduler.stats) =
-    Alcotest.(check int) (ctx ^ " migrations") s.Scheduler.migrations r.attempts;
-    Alcotest.(check int) (ctx ^ " hops") s.Scheduler.hops r.hops;
-    Alcotest.(check int) (ctx ^ " suspensions") s.Scheduler.suspensions
-      r.suspends;
-    Alcotest.(check int)
-      (ctx ^ " barriers") s.Scheduler.resource_barrier_events r.barriers;
-    Alcotest.(check bool) (ctx ^ " did work") true (s.Scheduler.migrations > 0)
-  in
+  { outcome; ring; journals; metrics }
+
+(* The scheduler counters a run reports.  POST's phase 2 (break/repair)
+   moves operations directly rather than through Migrate, so its
+   events account for the phase-1 counters. *)
+let grip_stats (o : Pipeline.outcome) =
   match o.Pipeline.stats with
-  | Pipeline.Grip_stats s -> expect s
-  | Pipeline.Post_stats s -> expect s.Post.phase1
+  | Pipeline.Grip_stats s -> s
+  | Pipeline.Post_stats s -> s.Post.phase1
   | Pipeline.Unifiable_stats _ -> Alcotest.fail "unexpected Unifiable stats"
 
-let replay_cases =
+(* The stats are the only counter and the trace the only record of each
+   migration fact.  The published metrics are the stats by
+   construction, and the journals are folded from the trace; what only
+   a test can show is that every fact the scheduler counts is emitted
+   exactly once: replaying the Schedule span's events reconstructs the
+   scheduler's own counters. *)
+let check_replay ctx r =
+  let s = grip_stats r.outcome in
+  Alcotest.(check int) "ring did not overflow" 0 (Trace.ring_dropped r.ring);
+  let t = replay_of (Trace.ring_events r.ring) in
+  let counter name = Metrics.counter r.metrics ("scheduler." ^ name) in
+  List.iter
+    (fun (what, stat, traced, published) ->
+      Alcotest.(check int) (ctx ^ " " ^ what ^ " traced") stat traced;
+      Alcotest.(check int) (ctx ^ " " ^ what ^ " published") stat published)
+    [
+      ("migrations", s.Scheduler.migrations, t.attempts, counter "migrations");
+      ("hops", s.Scheduler.hops, t.hops, counter "hops");
+      ("suspensions", s.Scheduler.suspensions, t.suspends, counter "suspensions");
+      ( "barriers",
+        s.Scheduler.resource_barrier_events,
+        t.barriers,
+        counter "barriers" );
+    ];
+  Alcotest.(check bool) (ctx ^ " did work") true (s.Scheduler.migrations > 0)
+
+(* The same run's journals: their totals are the trace's tallies, and
+   a truncated run journals its fuel rejection. *)
+let check_journal_replay ctx r =
+  let t = replay_of (Trace.ring_events r.ring) in
+  let j = r.journals in
+  Alcotest.(check int) (ctx ^ " hops") t.hops (Provenance.total_hops j);
+  Alcotest.(check int)
+    (ctx ^ " suspensions") t.suspends
+    (Provenance.total_suspensions j);
+  Alcotest.(check int) (ctx ^ " barriers") t.barriers (Provenance.total_barriers j);
+  Alcotest.(check bool) (ctx ^ " journaled work") true (Provenance.total_hops j > 0);
+  Alcotest.(check bool)
+    (ctx ^ " fuel agrees") r.outcome.Pipeline.fuel_exhausted
+    (Provenance.fuel_hit j)
+
+(* The replay cells: LL1/LL5 x 2/4 FU x GRiP/no-gap/POST, one run each,
+   shared by the counter replay ("replay" group) and the journal
+   replay ("provenance" group). *)
+let replay_cells =
   List.concat_map
     (fun name ->
       List.concat_map
         (fun fu ->
           List.map
             (fun m ->
-              let label =
-                Printf.sprintf "replay %s %s %dFU" name
-                  (Pipeline.method_name m) fu
-              in
-              Alcotest.test_case label `Slow (fun () -> check_replay name m fu))
+              ( Printf.sprintf "%s %s %dFU" name (Pipeline.method_name m) fu,
+                lazy (observe name m fu) ))
             [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
         [ 2; 4 ])
     [ "LL1"; "LL5" ]
 
+let replay_cases prefix check =
+  List.map
+    (fun (label, run) ->
+      Alcotest.test_case (prefix ^ label) `Slow (fun () ->
+          check label (Lazy.force run)))
+    replay_cells
+
+(* A run the budget stops mid-schedule still publishes the work it did:
+   the counters leave the stats in [Scheduler.run]'s [finally]. *)
+let test_budget_cut_publishes () =
+  let ring, tracer = Trace.ring () in
+  let m = Metrics.create () in
+  let obs = Obs.make ~trace:tracer ~metrics:m () in
+  (match
+     Pipeline.run ~obs (kernel "LL7") ~machine:(Machine.homogeneous 2)
+       ~method_:Pipeline.Grip
+       ~budget:(Grip_robust.Budget.make ~fuel:200 ())
+   with
+  | _ -> Alcotest.fail "expected the budget to stop the run"
+  | exception Grip_robust.Grip_error.Error _ -> ());
+  let t = tally (Trace.ring_events ring) in
+  Alcotest.(check int) "migrations" t.attempts
+    (Metrics.counter m "scheduler.migrations");
+  Alcotest.(check int) "hops" t.hops (Metrics.counter m "scheduler.hops");
+  Alcotest.(check bool) "attempts made" true (t.attempts > 0);
+  Alcotest.(check bool) "hops made" true (t.hops > 0)
+
 (* -- provenance journals --------------------------------------------------- *)
 
-module Provenance = Obs.Provenance
-
-(* Recorder mechanics, in isolation: renames carry the journal to the
+(* Journal mechanics, in isolation: renames carry the journal to the
    new identity, views come back oldest-first, and the blocker ranking
    counts Dep rejections per blamed operation. *)
 let test_provenance_rename_follows () =
   let p = Provenance.create () in
-  Provenance.record_hop p ~op:5 ~op':5 ~from_:1 ~to_:2 ~rule:Provenance.Move_op;
-  Provenance.record_hop p ~op:5 ~op':9 ~from_:2 ~to_:3 ~rule:Provenance.Move_cj;
-  Provenance.record_reject p ~op:9 ~node:3 (Provenance.Dep 4);
-  Provenance.record_reject p ~op:9 ~node:3 (Provenance.Dep 4);
-  Provenance.record_reject p ~op:9 ~node:3 (Provenance.Dep 2);
+  let emit = Trace.emit (Provenance.tracer p) in
+  let hop ~op ~prev_op ~from_ ~to_ rule =
+    emit (Trace.Migrate_hop { op; prev_op; from_; to_; rule })
+  in
+  let reject reason = emit (Trace.Migrate_reject { op = 9; node = 3; reason }) in
+  hop ~op:5 ~prev_op:5 ~from_:1 ~to_:2 Provenance.Move_op;
+  hop ~op:9 ~prev_op:5 ~from_:2 ~to_:3 Provenance.Move_cj;
+  reject (Provenance.Dep 4);
+  reject (Provenance.Dep 4);
+  reject (Provenance.Dep 2);
   Alcotest.(check bool) "old id unbound" true (Provenance.journal p 5 = None);
   (match Provenance.journal p 9 with
   | None -> Alcotest.fail "journal lost across rename"
@@ -363,79 +441,21 @@ let test_provenance_rename_follows () =
   Alcotest.(check (list (pair int int)))
     "blockers ranked" [ (4, 2); (2, 1) ] (Provenance.blockers p)
 
-let test_provenance_null_inert () =
-  Provenance.record_hop Provenance.null ~op:1 ~op':1 ~from_:0 ~to_:1
-    ~rule:Provenance.Move_op;
-  Provenance.record_reject Provenance.null ~op:1 ~node:0 Provenance.Fuel;
-  Alcotest.(check bool) "disabled" false (Provenance.enabled Provenance.null);
-  Alcotest.(check int) "no journals" 0
-    (List.length (Provenance.journals Provenance.null));
-  Alcotest.(check int) "no hops" 0 (Provenance.total_hops Provenance.null);
-  Alcotest.(check bool) "no fuel" false (Provenance.fuel_hit Provenance.null)
-
-(* The replay invariant, journal edition: scheduling with provenance
-   and metrics enabled, the journal-derived totals must equal both the
-   scheduler's own counters and the metrics registry — hops,
-   suspensions and resource barriers are recorded at the very sites
-   that bump the counters, so any divergence is a lost or duplicated
-   record.  POST's phase 2 moves operations outside Migrate, so its
-   journals account for phase 1 exactly like the trace replay. *)
-let check_prov_replay name method_ fu =
-  let prov = Provenance.create () in
-  let m = Metrics.create () in
-  let obs = Obs.make ~metrics:m ~prov () in
-  let o =
-    Pipeline.run ~obs (kernel name) ~machine:(Machine.homogeneous fu) ~method_
-  in
-  let ctx = Printf.sprintf "%s/%s/%dFU" name (Pipeline.method_name method_) fu in
-  let expect (s : Scheduler.stats) =
-    Alcotest.(check int) (ctx ^ " hops") s.Scheduler.hops
-      (Provenance.total_hops prov);
-    Alcotest.(check int)
-      (ctx ^ " suspensions") s.Scheduler.suspensions
-      (Provenance.total_suspensions prov);
-    Alcotest.(check int)
-      (ctx ^ " barriers") s.Scheduler.resource_barrier_events
-      (Provenance.total_barriers prov);
-    Alcotest.(check int)
-      (ctx ^ " hops = metrics")
-      (Metrics.counter m "scheduler.hops")
-      (Provenance.total_hops prov);
-    Alcotest.(check int)
-      (ctx ^ " suspensions = metrics")
-      (Metrics.counter m "scheduler.suspensions")
-      (Provenance.total_suspensions prov);
-    Alcotest.(check int)
-      (ctx ^ " barriers = metrics")
-      (Metrics.counter m "scheduler.barriers")
-      (Provenance.total_barriers prov);
-    Alcotest.(check bool) (ctx ^ " journaled work") true
-      (Provenance.total_hops prov > 0)
-  in
-  (match o.Pipeline.stats with
-  | Pipeline.Grip_stats s -> expect s
-  | Pipeline.Post_stats s -> expect s.Post.phase1
-  | Pipeline.Unifiable_stats _ -> Alcotest.fail "unexpected Unifiable stats");
-  Alcotest.(check bool)
-    (ctx ^ " fuel agrees") o.Pipeline.fuel_exhausted
-    (Provenance.fuel_hit prov)
-
-let prov_replay_cases =
-  List.concat_map
-    (fun name ->
-      List.concat_map
-        (fun fu ->
-          List.map
-            (fun m ->
-              let label =
-                Printf.sprintf "journal replay %s %s %dFU" name
-                  (Pipeline.method_name m) fu
-              in
-              Alcotest.test_case label `Slow (fun () ->
-                  check_prov_replay name m fu))
-            [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
-        [ 2; 4 ])
-    [ "LL1"; "LL5" ]
+(* Journals fold only hops and rejections: attempts, spans and every
+   other event leave them empty. *)
+let test_provenance_other_events_ignored () =
+  let p = Provenance.create () in
+  List.iter
+    (Trace.emit (Provenance.tracer p))
+    [
+      Trace.Span_begin Trace.Schedule;
+      Trace.Migrate_attempt { op = 1; target = 0 };
+      Trace.Note "x";
+      Trace.Span_end Trace.Schedule;
+    ];
+  Alcotest.(check int) "no journals" 0 (List.length (Provenance.journals p));
+  Alcotest.(check int) "no hops" 0 (Provenance.total_hops p);
+  Alcotest.(check bool) "no fuel" false (Provenance.fuel_hit p)
 
 (* -- merged-trace replay (the parallel-harness invariant) ------------------ *)
 
@@ -500,9 +520,8 @@ let test_null_sink_purity () =
   Alcotest.(check string) "same schedule" table_null table_traced;
   Alcotest.(check (float 1e-9)) "same speedup" speedup_null speedup_traced;
   (* provenance journaling must be just as pure an observer *)
-  let table_prov, speedup_prov =
-    run (Obs.make ~prov:(Provenance.create ()) ())
-  in
+  let journaled () = Provenance.tracer (Provenance.create ()) in
+  let table_prov, speedup_prov = run (Obs.make ~trace:(journaled ()) ()) in
   Alcotest.(check string) "same schedule with journals" table_null table_prov;
   Alcotest.(check (float 1e-9))
     "same speedup with journals" speedup_null speedup_prov;
@@ -522,7 +541,7 @@ let test_null_sink_purity () =
       Alcotest.(check (triple string (option (float 0.)) bool))
         (name ^ " " ^ Pipeline.method_name method_ ^ " digest inputs")
         (pinned Obs.null)
-        (pinned (Obs.make ~prov:(Provenance.create ()) ~metrics:(Metrics.create ()) ())))
+        (pinned (Obs.make ~trace:(journaled ()) ~metrics:(Metrics.create ()) ())))
     (List.concat_map
        (fun m -> [ ("LL1", m); ("LL5", m) ])
        [ Pipeline.Grip; Pipeline.Grip_no_gap; Pipeline.Post ])
@@ -589,7 +608,9 @@ let test_ring_truncation () =
    sharing its id; single-hop operations yield nothing.  The enriched
    document must still be valid JSON. *)
 let test_chrome_flows () =
-  let hop op from_ to_ ts = (ts, Trace.Migrate_hop { op; from_; to_ }) in
+  let hop op from_ to_ ts =
+    (ts, Trace.Migrate_hop { op; prev_op = op; from_; to_; rule = Trace.Move_op })
+  in
   let events = [ hop 7 1 2 0.0; hop 9 1 4 0.5; hop 7 2 3 1.0; hop 7 3 5 1.5 ] in
   match Json.parse (Trace.chrome_string ~flows:true events) with
   | Error e -> Alcotest.failf "flow-enriched trace unparseable: %s" e
@@ -831,13 +852,16 @@ let () =
             test_metrics_merge_disabled;
           Alcotest.test_case "gauges" `Quick test_metrics_gauges;
         ] );
-      ("replay", replay_cases);
+      ( "replay",
+        Alcotest.test_case "budget-cut run publishes its work" `Quick
+          test_budget_cut_publishes
+        :: replay_cases "replay " check_replay );
       ( "provenance",
         Alcotest.test_case "rename follows identity" `Quick
           test_provenance_rename_follows
-        :: Alcotest.test_case "null recorder is inert" `Quick
-             test_provenance_null_inert
-        :: prov_replay_cases );
+        :: Alcotest.test_case "other events ignored" `Quick
+             test_provenance_other_events_ignored
+        :: replay_cases "journal replay " check_journal_replay );
       ( "merged-trace",
         [
           Alcotest.test_case "merged replay reconstructs counters" `Slow
