@@ -497,7 +497,7 @@ let ablation ~pool () =
 module Json = Grip_obs.Json
 module Obs = Grip_obs
 
-let table1_schema = "grip.bench.table1/9"
+let table1_schema = "grip.bench.table1/10"
 
 (* The pinned schedule digest of test/schedule_digests.expected: the
    full rendered program (every node, op, guard, register and
@@ -566,8 +566,6 @@ let json_cell (e : Livermore.entry) method_ fu horizon =
         ("cache_hits", Json.int hits);
         ("cache_misses", Json.int misses);
         ("cache_hit_rate", Json.Num rate);
-        ("index_hits", Json.int (c "ir.index_reuses"));
-        ("index_misses", Json.int (c "ir.index_builds"));
         ("gc_deferred", Json.int (c "ir.gc_deferred"));
         ("gc_runs", Json.int (c "ir.gc_runs"));
         ("gc_reclaimed", Json.int (c "ir.gc_reclaimed"));
@@ -749,7 +747,7 @@ let json_validate file =
       (block where "legality" c)
       [
         "check_seconds"; "cache_hits"; "cache_misses"; "cache_hit_rate";
-        "index_hits"; "index_misses"; "gc_deferred"; "gc_runs"; "gc_reclaimed";
+        "gc_deferred"; "gc_runs"; "gc_reclaimed";
       ];
     require_nums (where ^ " gc")
       (block where "gc" c)

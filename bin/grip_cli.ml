@@ -1103,9 +1103,10 @@ let serve_cmd =
   in
   let analysis_cache_mb_arg =
     let doc =
-      "Byte budget (MB) of the tier-2 analysis store: cross-request reuse \
-       of parsed/lowered programs, ranked DDG closures, dominator arenas \
-       and legality-memo snapshots across FU counts. 0 disables tier 2."
+      "Byte budget (MB) of the tier-2 analysis store: cross-request reuse, \
+       across FU counts and techniques, of a lowered kernel's ranked DDG \
+       closure and, per unwinding horizon, one pristine unwound graph. \
+       0 disables tier 2."
     in
     Arg.(value & opt int 64 & info [ "analysis-cache-mb" ] ~docv:"MB" ~doc)
   in

@@ -84,19 +84,14 @@ let jump_pos (o : Pipeline.outcome) = List.length o.Pipeline.kernel.Kernel.body
    plus iteration when it is still alive, bare id otherwise. *)
 let op_name (o : Pipeline.outcome) id =
   let p = o.Pipeline.program in
-  match Program.home p id with
-  | None -> Printf.sprintf "op%d" id
-  | Some home -> (
-      match Node.find_any (Program.node p home) id with
-      | None -> Printf.sprintf "op%d" id
-      | Some op ->
-          if op.Operation.iter = Operation.no_iter then
-            Printf.sprintf "op%d(pre)" id
-          else
-            Printf.sprintf "%s%d"
-              (Schedule_table.letter ~jump_pos:(jump_pos o)
-                 op.Operation.src_pos)
-              op.Operation.iter)
+  match Program.home p id, Program.stored_op p id with
+  | Some _, Some op ->
+      if op.Operation.iter = Operation.no_iter then Printf.sprintf "op%d(pre)" id
+      else
+        Printf.sprintf "%s%d"
+          (Schedule_table.letter ~jump_pos:(jump_pos o) op.Operation.src_pos)
+          op.Operation.iter
+  | _ -> Printf.sprintf "op%d" id
 
 let pp_chain ppf (o : Pipeline.outcome) (c : Bottleneck.chain) =
   let letter p = Schedule_table.letter ~jump_pos:(jump_pos o) p in

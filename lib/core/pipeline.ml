@@ -119,48 +119,36 @@ let observe_occupancy (obs : Obs.t) machine p rows =
 let schedule_phase ~obs ~rank ~horizon ~speculation ~fuel ~budget
     (k : Kernel.t) p ~machine ~method_ =
   let exit_live = Kernel.exit_live k in
-  let idx_reuses0, idx_builds0 = Node.index_counters () in
-  let result =
-    Obs.timed obs Trace.Schedule (fun () ->
-        match method_ with
-        | Grip | Grip_no_gap ->
-            let ctx = Ctx.make ~obs p ~machine ~exit_live in
-            let config =
-              {
-                (Scheduler.default_config ~rank) with
-                Scheduler.gap_prevention = (method_ = Grip);
-                Scheduler.speculation = speculation;
-                Scheduler.max_migrations = fuel;
-                Scheduler.budget = budget;
-              }
-            in
-            Grip_stats (Scheduler.run config ctx)
-        | Post ->
-            let ctx_unlimited =
-              Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
-            in
-            let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
-            Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
-        | Unifiable ->
-            let ctx = Ctx.make ~obs p ~machine ~exit_live in
-            let config =
-              {
-                (Unifiable.default_config ~rank ~ddg:(ddg_of k) ~horizon) with
-                Unifiable.max_migrations = fuel;
-                Unifiable.budget = budget;
-              }
-            in
-            Unifiable_stats (Unifiable.run config ctx))
-  in
-  (* node-index effectiveness over the scheduling phase (the global
-     counters are deltas-snapshotted here; exact attribution under
-     sequential cells, i.e. --jobs 1) *)
-  if Metrics.enabled obs.Obs.metrics then begin
-    let idx_reuses1, idx_builds1 = Node.index_counters () in
-    Metrics.add obs.Obs.metrics "ir.index_reuses" (idx_reuses1 - idx_reuses0);
-    Metrics.add obs.Obs.metrics "ir.index_builds" (idx_builds1 - idx_builds0)
-  end;
-  result
+  Obs.timed obs Trace.Schedule (fun () ->
+      match method_ with
+      | Grip | Grip_no_gap ->
+          let ctx = Ctx.make ~obs p ~machine ~exit_live in
+          let config =
+            {
+              (Scheduler.default_config ~rank) with
+              Scheduler.gap_prevention = (method_ = Grip);
+              Scheduler.speculation = speculation;
+              Scheduler.max_migrations = fuel;
+              Scheduler.budget = budget;
+            }
+          in
+          Grip_stats (Scheduler.run config ctx)
+      | Post ->
+          let ctx_unlimited =
+            Ctx.make ~obs p ~machine:Machine.unlimited ~exit_live
+          in
+          let ctx_real = Ctx.make ~obs p ~machine ~exit_live in
+          Post_stats (Post.run ~budget ctx_unlimited ctx_real ~rank)
+      | Unifiable ->
+          let ctx = Ctx.make ~obs p ~machine ~exit_live in
+          let config =
+            {
+              (Unifiable.default_config ~rank ~ddg:(ddg_of k) ~horizon) with
+              Unifiable.max_migrations = fuel;
+              Unifiable.budget = budget;
+            }
+          in
+          Unifiable_stats (Unifiable.run config ctx))
 
 (** [run ?obs ?rank ?horizon ?redundancy ?speculation k ~machine
     ~method_] schedules kernel [k].  The default horizon scales with

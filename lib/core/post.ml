@@ -8,10 +8,11 @@
 
     Breaking a too-full node [n] splices a fresh empty node above it
     and moves operations (best-ranked first) up into it with the
-    regular [move-op]/[move-cj] machinery, which handles renaming and
-    guard distribution; when only the conditional tree is left to
-    shrink, the root conditional moves up and [n] splits into its two
-    smaller arms.  The repair phase is resource-constrained percolation
+    regular [move-op]/[move-cj] machinery, which handles guard
+    distribution (renaming is off while breaking: a renamed op leaves
+    a copy in [n]); when only the conditional tree is left to shrink,
+    the root conditional moves up and [n] splits into its two smaller
+    arms.  The repair phase is resource-constrained percolation
     without gap prevention — the very property whose absence the paper
     blames for POST's inferior schedules. *)
 
@@ -54,15 +55,21 @@ let push_entry_down (p : Program.t) =
   m.Node.id
 
 (* Reduce node [n] until it fits, by moving ops (then the root
-   conditional) up into spliced nodes. *)
+   conditional) up into spliced nodes.  [ctx] must refuse renaming
+   ({!Ctx.without_renaming}): a renamed op leaves a copy behind, so
+   the move never shrinks [n], and a round of such moves can repeat
+   forever.  Every other move takes an op out of [n], so each round
+   either shrinks it or moves nothing into a fresh empty node — and a
+   later round into another empty node would find the same verdicts,
+   so that is reported as a resource overflow. *)
 let break_node ~budget (ctx : Ctx.t) rank stats n =
   let p = ctx.Ctx.program in
-  let fits id = Machine.fits ctx.Ctx.machine (Program.node p id) in
+  let m = ctx.Ctx.machine in
+  let fits id = Machine.fits_packed m (Program.counts_packed p id) in
   let work = ref n in
-  let guard = ref 0 in
-  while (not (fits !work)) && !guard < 10_000 do
+  while not (fits !work) do
     Grip_robust.Budget.check budget;
-    incr guard;
+    let moves = stats.demoted_ops + stats.cj_splits in
     let target =
       if !work = p.Program.entry then begin
         let below = push_entry_down p in
@@ -109,7 +116,16 @@ let break_node ~budget (ctx : Ctx.t) rank stats n =
                   work := target
               | Error _ -> ())
           | None -> ())
-    done
+    done;
+    if stats.demoted_ops + stats.cj_splits = moves then
+      Grip_robust.Grip_error.(
+        raise_ Scheduling
+          (Resource_overflow
+             {
+               node = !work;
+               demand = Machine.slot_demand_packed m (Program.counts_packed p !work);
+               width = Machine.width m;
+             }))
   done
 
 (* Phase 2b: local repair percolation — refill nodes the breaking left
@@ -212,18 +228,21 @@ let run ?(budget = Grip_robust.Budget.unlimited) (ctx_unlimited : Ctx.t)
     put "post.repair_hops" stats.repair_hops
   in
   (* Phase 2a: apply resource constraints by node breaking *)
+  let ctx_break = Ctx.without_renaming ctx_real in
   let rec scan () =
     let offender =
       List.find_opt
         (fun id ->
           (not (Program.is_exit p id))
-          && not (Machine.fits ctx_real.Ctx.machine (Program.node p id)))
+          && not
+               (Machine.fits_packed ctx_real.Ctx.machine
+                  (Program.counts_packed p id)))
         (Program.rpo p)
     in
     match offender with
     | None -> ()
     | Some n ->
-        break_node ~budget ctx_real rank stats n;
+        break_node ~budget ctx_break rank stats n;
         scan ()
   in
   Fun.protect ~finally:publish (fun () ->

@@ -3,19 +3,10 @@
     A node holds a set of unconditionally executed operations [ops]
     (kept in insertion order for deterministic scheduling) and a
     conditional tree [ctree] selecting the successor.  All mutation goes
-    through {!Program}, which maintains the operation-location index and
-    the graph version counter.
-
-    Each node also carries a lazily built {e legality index}: per-register
-    defining/reading operation lists, an operation-id table, the memory
-    operations, issue-slot demand counts by category, the distinct
-    successor list, and memoized conditional-tree path queries.  The
-    index is exactly derivable from [ops] and [ctree]; {!Program}'s
-    mutators either update it incrementally ([add_op]/[remove_op]) or
-    drop it ([set_ctree], [replace_op], redirects), so every query below
-    always answers as if it had scanned the current lists.  The *_scan
-    variants bypass the index and remain as the reference
-    implementations for the equivalence oracle in the test suite. *)
+    through {!Program}, which maintains the operation-location index,
+    the flat per-node stores every hot query reads, and the graph
+    version counter.  A node record carries no derived state of its
+    own. *)
 
 type counts = {
   plain : int;  (** plain (non-jump) operations *)
@@ -24,162 +15,9 @@ type counts = {
   cjumps : int;  (** conditional jumps of the tree *)
 }
 
-type index = {
-  defs : (Reg.t, Operation.t list) Hashtbl.t;
-      (** plain ops defining a register, in [ops] order *)
-  uses : (Reg.t, Operation.t list) Hashtbl.t;
-      (** plain ops reading a register, in [ops] order *)
-  cj_uses : (Reg.t, Operation.t list) Hashtbl.t;
-      (** conditional jumps reading a register *)
-  by_id : (int, Operation.t) Hashtbl.t;  (** plain ops by operation id *)
-  cj_by_id : (int, Operation.t) Hashtbl.t;  (** tree jumps by id *)
-  mutable mem_ops : Operation.t list;  (** plain loads/stores, [ops] order *)
-  mutable counts : counts;
-  succs : int list;  (** distinct successor ids (sorted) *)
-  paths : (int, (int * bool) list option) Hashtbl.t;
-      (** leaf -> memoized {!Ctree.path_to} *)
-  npaths : (int, int) Hashtbl.t;  (** leaf -> memoized {!Ctree.all_paths_to} *)
-}
+type t = { id : int; mutable ops : Operation.t list; mutable ctree : Ctree.t }
 
-type t = {
-  id : int;
-  mutable ops : Operation.t list;
-  mutable ctree : Ctree.t;
-  mutable index : index option;
-}
-
-(* Build/rebuild counters: consulted by the bench artifact's legality
-   block.  Global atomics — per-program attribution happens by
-   snapshotting deltas around a scheduling run (exact under --jobs 1,
-   the canonical BENCH_table1.json configuration). *)
-let index_builds = Atomic.make 0
-let index_reuses = Atomic.make 0
-let index_counters () = (Atomic.get index_reuses, Atomic.get index_builds)
-
-let make ~id ~ops ~ctree = { id; ops; ctree; index = None }
-
-let invalidate_index n = n.index <- None
-
-let table_append tbl key op =
-  Hashtbl.replace tbl key
-    (match Hashtbl.find_opt tbl key with
-    | Some l -> l @ [ op ]
-    | None -> [ op ])
-
-let table_remove tbl key op_id =
-  match Hashtbl.find_opt tbl key with
-  | None -> ()
-  | Some l -> (
-      match List.filter (fun (o : Operation.t) -> o.id <> op_id) l with
-      | [] -> Hashtbl.remove tbl key
-      | l' -> Hashtbl.replace tbl key l')
-
-let build_index n =
-  let defs = Hashtbl.create 8
-  and uses = Hashtbl.create 8
-  and cj_uses = Hashtbl.create 4
-  and by_id = Hashtbl.create 8
-  and cj_by_id = Hashtbl.create 4 in
-  let copies = ref 0 and mems = ref 0 in
-  let mem_ops = ref [] in
-  List.iter
-    (fun (op : Operation.t) ->
-      Hashtbl.replace by_id op.id op;
-      (match Operation.def op with
-      | Some d -> table_append defs d op
-      | None -> ());
-      List.iter (fun r -> table_append uses r op) (Operation.uses op);
-      if Operation.is_copy op then incr copies;
-      if Operation.mem_access op <> None then begin
-        incr mems;
-        mem_ops := op :: !mem_ops
-      end)
-    n.ops;
-  let cjs = Ctree.cjumps n.ctree in
-  List.iter
-    (fun (cj : Operation.t) ->
-      Hashtbl.replace cj_by_id cj.id cj;
-      List.iter (fun r -> table_append cj_uses r cj) (Operation.uses cj))
-    cjs;
-  {
-    defs;
-    uses;
-    cj_uses;
-    by_id;
-    cj_by_id;
-    mem_ops = List.rev !mem_ops;
-    counts =
-      {
-        plain = List.length n.ops;
-        copies = !copies;
-        mems = !mems;
-        cjumps = List.length cjs;
-      };
-    succs = Ctree.succs n.ctree;
-    paths = Hashtbl.create 4;
-    npaths = Hashtbl.create 4;
-  }
-
-let index n =
-  match n.index with
-  | Some idx ->
-      Atomic.incr index_reuses;
-      idx
-  | None ->
-      Atomic.incr index_builds;
-      let idx = build_index n in
-      n.index <- Some idx;
-      idx
-
-(* Incremental maintenance, called by {!Program.add_op} /
-   {!Program.remove_op} right after they mutate [n.ops].  [op] must
-   already be at the end of the list (append) / no longer in it
-   (remove). *)
-let note_add_op n (op : Operation.t) =
-  match n.index with
-  | None -> ()
-  | Some idx ->
-      Hashtbl.replace idx.by_id op.id op;
-      (match Operation.def op with
-      | Some d -> table_append idx.defs d op
-      | None -> ());
-      List.iter (fun r -> table_append idx.uses r op) (Operation.uses op);
-      if Operation.mem_access op <> None then
-        idx.mem_ops <- idx.mem_ops @ [ op ];
-      let c = idx.counts in
-      idx.counts <-
-        {
-          c with
-          plain = c.plain + 1;
-          copies = (c.copies + if Operation.is_copy op then 1 else 0);
-          mems = (c.mems + if Operation.mem_access op <> None then 1 else 0);
-        }
-
-let note_remove_op n op_id =
-  match n.index with
-  | None -> ()
-  | Some idx -> (
-      match Hashtbl.find_opt idx.by_id op_id with
-      | None -> ()
-      | Some op ->
-          Hashtbl.remove idx.by_id op_id;
-          (match Operation.def op with
-          | Some d -> table_remove idx.defs d op_id
-          | None -> ());
-          List.iter (fun r -> table_remove idx.uses r op_id) (Operation.uses op);
-          if Operation.mem_access op <> None then
-            idx.mem_ops <-
-              List.filter
-                (fun (o : Operation.t) -> o.id <> op_id)
-                idx.mem_ops;
-          let c = idx.counts in
-          idx.counts <-
-            {
-              c with
-              plain = c.plain - 1;
-              copies = (c.copies - if Operation.is_copy op then 1 else 0);
-              mems = (c.mems - if Operation.mem_access op <> None then 1 else 0);
-            })
+let make ~id ~ops ~ctree = { id; ops; ctree }
 
 (** [all_ops n] is every operation in [n]: the plain ops then the
     conditional jumps of the tree. *)
@@ -189,15 +27,23 @@ let all_ops n = n.ops @ Ctree.cjumps n.ctree
     policy (copies may be discounted by the machine model). *)
 let op_count n = List.length n.ops + Ctree.n_cjumps n.ctree
 
-(** [counts n] is the category breakdown of [n]'s slot demand, served
-    from the index: machines derive typed and copies-free accounting
-    from it without scanning the op lists. *)
-let counts n = (index n).counts
+(** [counts n] is the category breakdown of [n]'s slot demand, scanned
+    from [ops] and the tree's jumps.  Hot paths read the same counters
+    packed from {!Program.counts_packed} instead. *)
+let counts n =
+  let copies, mems =
+    List.fold_left
+      (fun (c, m) op ->
+        ( (if Operation.is_copy op then c + 1 else c),
+          if Operation.mem_access op <> None then m + 1 else m ))
+      (0, 0) n.ops
+  in
+  { plain = List.length n.ops; copies; mems; cjumps = Ctree.n_cjumps n.ctree }
 
 (* Packed counts: the four category counters of {!counts} packed into
    one immediate int (15 bits per field), so {!Program} can maintain a
-   per-node slot-demand table that machines query without touching the
-   index or allocating a record.  15 bits bounds a node at 32767 ops
+   per-node slot-demand table that machines query without scanning the
+   op lists or allocating a record.  15 bits bounds a node at 32767 ops
    per category — far beyond any unwound Livermore body. *)
 
 let pack_counts (c : counts) =
@@ -216,138 +62,10 @@ let unpack_counts x =
     cjumps = packed_cjumps x;
   }
 
-(** [find_op n id] finds the operation with id [id] among [n]'s plain
-    ops (not the conditional jumps). *)
-let find_op n id = Hashtbl.find_opt (index n).by_id id
-
-(** [mem_op n id] holds when the plain op [id] is in [n]. *)
-let mem_op n id = Option.is_some (find_op n id)
-
-(** [find_any n id] finds op [id] among plain ops or conditional
-    jumps. *)
-let find_any n id =
-  let idx = index n in
-  match Hashtbl.find_opt idx.by_id id with
-  | Some op -> Some op
-  | None -> Hashtbl.find_opt idx.cj_by_id id
-
-(** [defs_of n r] — the plain ops of [n] defining [r], in [ops]
-    order. *)
-let defs_of n r =
-  match Hashtbl.find_opt (index n).defs r with Some l -> l | None -> []
-
-(** [uses_of n r] — the plain ops of [n] reading [r], in [ops]
-    order. *)
-let uses_of n r =
-  match Hashtbl.find_opt (index n).uses r with Some l -> l | None -> []
-
-(** [cj_uses_of n r] — the conditional jumps of [n]'s tree reading
-    [r]. *)
-let cj_uses_of n r =
-  match Hashtbl.find_opt (index n).cj_uses r with Some l -> l | None -> []
-
-(** [mem_ops n] — the plain loads/stores of [n], in [ops] order. *)
-let mem_ops n = (index n).mem_ops
-
-(** [succs n] is the list of distinct successors of [n]. *)
-let succs n = (index n).succs
-
-(** [succs_scan n] — reference implementation of {!succs} (no index). *)
-let succs_scan n = Ctree.succs n.ctree
-
-(** [path_to n leaf] — memoized {!Ctree.path_to} on [n]'s current
-    tree. *)
-let path_to n leaf =
-  let idx = index n in
-  match Hashtbl.find_opt idx.paths leaf with
-  | Some r -> r
-  | None ->
-      let r = Ctree.path_to n.ctree leaf in
-      Hashtbl.replace idx.paths leaf r;
-      r
-
-(** [all_paths_to n leaf] — memoized {!Ctree.all_paths_to}. *)
-let all_paths_to n leaf =
-  let idx = index n in
-  match Hashtbl.find_opt idx.npaths leaf with
-  | Some r -> r
-  | None ->
-      let r = Ctree.all_paths_to n.ctree leaf in
-      Hashtbl.replace idx.npaths leaf r;
-      r
-
-(** [defs n] is the set of registers written by [n]'s plain ops. *)
-let defs n =
-  List.fold_left
-    (fun acc op ->
-      match Operation.def op with
-      | Some d -> Reg.Set.add d acc
-      | None -> acc)
-    Reg.Set.empty n.ops
-
 (** [is_empty n] holds when [n] computes nothing and falls through
     unconditionally: such nodes are deleted by {!Program.delete_node}. *)
 let is_empty n =
   match n.ops, n.ctree with [], Ctree.Leaf _ -> true | _ -> false
-
-(** [index_coherent n] — does the maintained index agree with a fresh
-    rebuild from [ops]/[ctree]?  [None] when coherent (or no index is
-    materialized); [Some reason] otherwise.  Test-suite oracle for the
-    incremental maintenance above. *)
-let index_coherent n =
-  match n.index with
-  | None -> None
-  | Some idx ->
-      let fresh = build_index n in
-      let ops_of tbl r =
-        match Hashtbl.find_opt tbl r with
-        | Some l -> List.map (fun (o : Operation.t) -> o.Operation.id) l
-        | None -> []
-      in
-      let tables_equal name (a : (Reg.t, Operation.t list) Hashtbl.t) b =
-        let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] in
-        let all = List.sort_uniq compare (keys a @ keys b) in
-        List.find_map
-          (fun r ->
-            if ops_of a r = ops_of b r then None
-            else Some (Printf.sprintf "n%d: %s mismatch" n.id name))
-          all
-      in
-      let check_counts () =
-        if idx.counts = fresh.counts then None
-        else Some (Printf.sprintf "n%d: counts mismatch" n.id)
-      in
-      let check_mem () =
-        if
-          List.map (fun (o : Operation.t) -> o.Operation.id) idx.mem_ops
-          = List.map (fun (o : Operation.t) -> o.Operation.id) fresh.mem_ops
-        then None
-        else Some (Printf.sprintf "n%d: mem_ops mismatch" n.id)
-      in
-      let check_succs () =
-        if idx.succs = fresh.succs then None
-        else Some (Printf.sprintf "n%d: succs mismatch" n.id)
-      in
-      let check_ids () =
-        let ids t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] in
-        if
-          List.sort compare (ids idx.by_id) = List.sort compare (ids fresh.by_id)
-          && List.sort compare (ids idx.cj_by_id)
-             = List.sort compare (ids fresh.cj_by_id)
-        then None
-        else Some (Printf.sprintf "n%d: by_id mismatch" n.id)
-      in
-      List.find_map
-        (fun f -> f ())
-        [
-          (fun () -> tables_equal "defs" idx.defs fresh.defs);
-          (fun () -> tables_equal "uses" idx.uses fresh.uses);
-          (fun () -> tables_equal "cj_uses" idx.cj_uses fresh.cj_uses);
-          check_counts;
-          check_mem;
-          check_succs;
-          check_ids;
-        ]
 
 let pp ppf n =
   Format.fprintf ppf "@[<v>n%d:@,%a@,%a@]" n.id

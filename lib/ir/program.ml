@@ -25,14 +25,14 @@
     int-indexed struct-of-arrays mirror sized for allocation-free hot
     paths:
     - [op_store]/[op_flags]: operation id -> canonical record / packed
-      shape bits (cjump, copy, mem) — O(1) op lookup without touching
-      a node's lazily built hash index;
+      shape bits (cjump, copy, mem) — O(1) op lookup without scanning
+      a node's op lists;
     - [ops_seq]/[cjs_seq]: node id -> {!Iarr.t} of plain op ids in
       instruction order / conditional-jump ids in tree pre-order —
       worklists and table renderers iterate these instead of
       [Node.all_ops] (which conses a fresh list per call);
     - [node_counts]: node id -> {!Node.pack_counts}-packed slot-demand
-      counters, so [Machine.room_for] never forces a node index;
+      counters, so resource checks never scan a node;
     - [preds_tbl]: node id -> {!Iarr.t} of predecessor ids in append
       order with [-1] tombstones (edge removal tombstones in place —
       no [List.filter] copy per edge — and compacts when tombstones
@@ -67,7 +67,7 @@ type t = {
   succs_tbl : int list Itbl.t;
       (** node id -> distinct sorted successor ids — the
           [Ctree.succs] mirror, recomputed on every structural edit so
-          graph walks never touch the node index.  Stored as the list
+          graph walks never re-walk a tree.  Stored as the list
           itself: queries share it (immutable, zero alloc), and since
           an edit replaces rather than mutates it, a walker's captured
           copy stays a valid pre-edit snapshot. *)
@@ -169,9 +169,8 @@ let pred_remove p ~src ~dst =
   end
 
 (* Refresh node [n]'s successor mirror from its tree.  Walks consume
-   successors far more often than trees change; serving them through
-   [Node.succs] forced a full index rebuild after every invalidation,
-   which dominated the migration walk's allocation. *)
+   successors far more often than trees change, so the tree is walked
+   once per edit rather than once per query. *)
 let rebuild_succs p (n : Node.t) =
   Itbl.set p.succs_tbl n.Node.id (Ctree.succs n.Node.ctree)
 
@@ -331,7 +330,6 @@ let stored_op p op_id = Itbl.get p.op_store op_id
 let add_op p nid (op : Operation.t) =
   let n = node p nid in
   n.Node.ops <- n.Node.ops @ [ op ];
-  Node.note_add_op n op;
   note_op_regs p op;
   note_op_id p op;
   Itbl.set p.op_home op.id nid;
@@ -342,7 +340,7 @@ let add_op p nid (op : Operation.t) =
   touch p
 
 (** [mem_plain_op p nid op_id] — is plain op [op_id] currently in node
-    [nid]?  Flat-sequence membership; no node index. *)
+    [nid]?  Flat-sequence membership, no list scan. *)
 let mem_plain_op p nid op_id = Iarr.mem (Itbl.get p.ops_seq nid) op_id
 
 (** [remove_op p nid op_id] removes plain op [op_id] from node [nid].
@@ -353,7 +351,6 @@ let remove_op p nid op_id =
     invalid_arg
       (Printf.sprintf "Program.remove_op: op %d not in node %d" op_id nid);
   n.Node.ops <- List.filter (fun (o : Operation.t) -> o.id <> op_id) n.Node.ops;
-  Node.note_remove_op n op_id;
   Itbl.set p.op_home op_id (-1);
   ignore (Iarr.remove_first (Itbl.get p.ops_seq nid) op_id);
   Itbl.set p.node_counts nid
@@ -376,7 +373,6 @@ let replace_op p nid (op : Operation.t) =
           op)
         else o)
       n.Node.ops;
-  Node.invalidate_index n;
   if not !found then
     invalid_arg
       (Printf.sprintf "Program.replace_op: op %d not in node %d" op.id nid);
@@ -396,7 +392,6 @@ let set_ctree p nid t =
     (fun (cj : Operation.t) -> Itbl.set p.op_home cj.id (-1))
     n.Node.ctree;
   n.Node.ctree <- t;
-  Node.invalidate_index n;
   link_node p n;
   let cseq = seq_for p p.cjs_seq nid in
   Iarr.clear cseq;
@@ -421,7 +416,6 @@ let take_ops p nid =
   let n = node p nid in
   let ops = n.Node.ops in
   n.Node.ops <- [];
-  Node.invalidate_index n;
   clear_seq p.ops_seq nid;
   Itbl.set p.node_counts nid (Itbl.get p.node_counts nid land (0x7fff lsl 45));
   touch p;
@@ -463,8 +457,8 @@ let clone_instruction p ~ops ~ctree =
 
 (** [counts_packed p nid] — node [nid]'s slot-demand counters packed as
     by {!Node.pack_counts}; [0] for an absent node.  Maintained
-    incrementally: machines answer [room_for] from this without
-    forcing the node's hash index. *)
+    incrementally: machines answer resource queries from this without
+    scanning the node. *)
 let counts_packed p nid = Itbl.get p.node_counts nid
 
 (** [iter_plain_op_ids p nid f] — [f] over node [nid]'s plain op ids in
@@ -507,7 +501,7 @@ let preds_raw p id =
 (* -- graph queries ------------------------------------------------------ *)
 
 (** [succs p id] is the successor ids of node [id]; the exit sentinel
-    has none.  Served from the mirror — no node-index rebuild and no
+    has none.  Served from the mirror — no tree walk and no
     allocation per query.  The shared list is still a snapshot:
     migration walkers capture it before hopping, and a hop replaces
     (never mutates) the mirror entry. *)
@@ -630,7 +624,6 @@ let redirect p ~from_ ~old_ ~new_ =
   let n = node p from_ in
   unlink_node p n;
   n.Node.ctree <- Ctree.replace_leaf n.Node.ctree ~old_ ~new_;
-  Node.invalidate_index n;
   link_node p n;
   touch p
 
@@ -749,9 +742,9 @@ let restore p s =
   p.next_op <- s.s_next_op;
   touch p
 
-(** [check_derived_state p] — do the predecessor table, the flat
-    stores and every materialized node index agree with a from-scratch
-    recomputation?  [None] when coherent; [Some reason] otherwise.
+(** [check_derived_state p] — do the predecessor table and the flat
+    stores agree with a from-scratch recomputation from the node
+    records?  [None] when coherent; [Some reason] otherwise.
     Test-suite oracle for the incremental maintenance in this
     module. *)
 let check_derived_state p =
@@ -835,16 +828,7 @@ let check_derived_state p =
             end)
       None
   in
-  match pred_problem with
-  | Some _ as r -> r
-  | None -> (
-      match flat_problem () with
-      | Some _ as r -> r
-      | None ->
-          fold_nodes p
-            (fun n acc ->
-              match acc with Some _ -> acc | None -> Node.index_coherent n)
-            None)
+  match pred_problem with Some _ as r -> r | None -> flat_problem ()
 
 let pp ppf p =
   let ids = rpo p in

@@ -41,28 +41,13 @@ let class_of (op : Operation.t) =
 
 let counted m op = not (m.copies_free && Operation.is_copy op)
 
-(* Per-class occupancy from the node's maintained category counts
-   (no op-list scan): loads/stores are the Mem class and are never
-   copies; conditional jumps are the Branch class; everything else —
-   including the copies a [copies_free] machine discounts — is Alu. *)
-let used_slots m (n : Node.t) cls =
-  let c = Node.counts n in
-  match cls with
-  | Mem -> c.Node.mems
-  | Branch -> c.Node.cjumps
-  | Alu ->
-      c.Node.plain - c.Node.mems - (if m.copies_free then c.Node.copies else 0)
-
-(** [slot_demand m node] is the number of issue slots [node] consumes
-    on machine [m] (homogeneous accounting). *)
-let slot_demand m (n : Node.t) =
-  let c = Node.counts n in
-  c.Node.plain + c.Node.cjumps - (if m.copies_free then c.Node.copies else 0)
-
-(* Packed-counts variants: same accounting, fed from
-   [Program.counts_packed]'s bit-packed counters instead of the node's
-   lazily built index — the allocation-free path the migration
-   legality scan uses. *)
+(* Resource accounting reads the four category counters packed as by
+   {!Node.pack_counts}: the schedulers pass [Program.counts_packed]'s
+   maintained word (allocation-free), and the bare-node entry points
+   below pack a scan of the node.  Per class: loads/stores are the Mem
+   class and are never copies; conditional jumps are the Branch class;
+   everything else — including the copies a [copies_free] machine
+   discounts — is Alu. *)
 
 let used_slots_packed m packed cls =
   match cls with
@@ -72,14 +57,15 @@ let used_slots_packed m packed cls =
       Node.packed_plain packed - Node.packed_mems packed
       - if m.copies_free then Node.packed_copies packed else 0
 
-(** [slot_demand_packed m packed] — {!slot_demand} from a
-    {!Node.pack_counts}-packed counter word. *)
+(** [slot_demand_packed m packed] is the number of issue slots a node
+    with packed counters [packed] consumes on machine [m] (homogeneous
+    accounting). *)
 let slot_demand_packed m packed =
   Node.packed_plain packed + Node.packed_cjumps packed
   - if m.copies_free then Node.packed_copies packed else 0
 
-(** [room_for_packed m packed op] — {!room_for} from a packed counter
-    word; allocation-free. *)
+(** [room_for_packed m packed op] — could [op] be added to a node with
+    packed counters [packed] without exceeding [m]'s issue width? *)
 let room_for_packed m packed (op : Operation.t) =
   if not (counted m op) then true
   else
@@ -91,8 +77,8 @@ let room_for_packed m packed (op : Operation.t) =
         let limit = match cls with Alu -> alu | Mem -> mem | Branch -> branch in
         used_slots_packed m packed cls + 1 <= limit
 
-(** [fits_packed m packed] — {!fits} from a packed counter word;
-    allocation-free. *)
+(** [fits_packed m packed] — does a node with packed counters [packed]
+    respect [m]'s issue width? *)
 let fits_packed m packed =
   match m.shape with
   | Unlimited -> true
@@ -102,36 +88,23 @@ let fits_packed m packed =
       && used_slots_packed m packed Mem <= mem
       && used_slots_packed m packed Branch <= branch
 
+let packed (n : Node.t) = Node.pack_counts (Node.counts n)
+
+(** [fits m node] — {!fits_packed} on [node]'s scanned counters. *)
+let fits m n = fits_packed m (packed n)
+
+(** [room_for m node op] — {!room_for_packed} on [node]'s scanned
+    counters. *)
+let room_for m n op = room_for_packed m (packed n) op
+
 (** [slot_demand_scan m node] — reference implementation of
-    {!slot_demand} scanning the op lists (equivalence oracle). *)
+    {!slot_demand_packed} counting the op lists (equivalence
+    oracle). *)
 let slot_demand_scan m (n : Node.t) =
   List.length (List.filter (counted m) (Node.all_ops n))
 
-(** [fits m node] — does [node] respect [m]'s issue width? *)
-let fits m (n : Node.t) =
-  match m.shape with
-  | Unlimited -> true
-  | Homogeneous k -> slot_demand m n <= k
-  | Typed { alu; mem; branch } ->
-      used_slots m n Alu <= alu
-      && used_slots m n Mem <= mem
-      && used_slots m n Branch <= branch
-
-(** [room_for m node op] — could [op] be added to [node] without
-    exceeding [m]'s issue width? *)
-let room_for m (n : Node.t) (op : Operation.t) =
-  if not (counted m op) then true
-  else
-    match m.shape with
-    | Unlimited -> true
-    | Homogeneous k -> slot_demand m n + 1 <= k
-    | Typed { alu; mem; branch } ->
-        let cls = class_of op in
-        let limit = match cls with Alu -> alu | Mem -> mem | Branch -> branch in
-        used_slots m n cls + 1 <= limit
-
 (** [room_for_scan m node op] — reference implementation of
-    {!room_for} scanning the op lists (equivalence oracle). *)
+    {!room_for_packed} scanning the op lists (equivalence oracle). *)
 let room_for_scan m (n : Node.t) (op : Operation.t) =
   if not (counted m op) then true
   else

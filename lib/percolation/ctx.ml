@@ -44,13 +44,11 @@ type t = {
   mutable gc_pending : bool;
 }
 
-(** [make ?rename ?obs p ~machine ~exit_live] builds a context with a
-    fresh liveness oracle observing [exit_live] at the program exit. *)
-let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
+let with_liveness ~rename ~obs program ~machine liveness =
   {
     program;
     machine;
-    liveness = Vliw_analysis.Liveness.make program ~exit_live;
+    liveness;
     rename;
     obs;
     dom_cache = None;
@@ -64,6 +62,20 @@ let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
     gc_depth = 0;
     gc_pending = false;
   }
+
+(** [make ?rename ?obs p ~machine ~exit_live] builds a context with a
+    fresh liveness oracle observing [exit_live] at the program exit. *)
+let make ?(rename = true) ?(obs = Grip_obs.null) program ~machine ~exit_live =
+  with_liveness ~rename ~obs program ~machine
+    (Vliw_analysis.Liveness.make program ~exit_live)
+
+(** [without_renaming t] — a context over [t]'s program, machine,
+    liveness oracle and sink that refuses moves needing a rename.  Its
+    caches are its own: a verdict cached under one renaming policy is
+    no verdict under the other. *)
+let without_renaming t =
+  with_liveness ~rename:false ~obs:t.obs t.program ~machine:t.machine
+    t.liveness
 
 (** [dominators t] — the dominator tree of the current program version,
     recomputed only when the program has changed since the last call on

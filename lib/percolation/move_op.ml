@@ -29,16 +29,17 @@
     the operation.  When [from_] ends up empty it is deleted, as in
     Figure 2.
 
-    Legality is decided from the per-node indexes ({!Node.defs_of},
-    {!Node.uses_of}, {!Node.mem_ops}, maintained counts) in time
-    proportional to the operands involved rather than the node sizes;
-    the [*_scan] entry points keep the original list-scanning
-    implementation alive as the equivalence oracle the test suite
-    checks the indexed path against.  Negative verdicts are memoized
-    per program version in the context ({!Ctx.legality_find}): the
-    check has no effect on failure, so replaying a cached failure is
-    sound, while successful moves re-run the check because committing
-    consumes fresh names. *)
+    Legality reads {!Program}'s flat stores: the moved op comes from
+    [Program.stored_op] gated by its home, resource room from
+    [Program.counts_packed], and the dependence checks scan [to_]'s
+    and [from_]'s op lists directly, skipping the copy-forwarding
+    rebuild when no source register is defined in [to_].  The [*_scan]
+    entry points keep the original implementation alive as the
+    equivalence oracle the test suite checks this path against.
+    Negative verdicts are memoized per program version in the context
+    ({!Ctx.legality_find}): the check has no effect on failure, so
+    replaying a cached failure is sound, while successful moves re-run
+    the check because committing consumes fresh names. *)
 
 open Vliw_ir
 module Alias = Vliw_analysis.Alias
@@ -144,8 +145,8 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
     | Some path -> path
     | None -> raise (Fail Not_adjacent)
   in
-  (* plain ops only, like the node index's by-id table: a conditional
-     jump with this id is Move_cj's business *)
+  (* plain ops only: a conditional jump with this id is Move_cj's
+     business *)
   let op =
     match Program.stored_op p op_id with
     | Some op
@@ -171,7 +172,7 @@ let check (ctx : Ctx.t) ~from_ ~to_ ~op_id =
     with
     | Some o -> raise (Fail (Mem_dependence o))
     | None -> ());
-  (* 3. resource room at to_ (packed per-node counters — no index) *)
+  (* 3. resource room at to_ (packed per-node counters, no scan) *)
   if not (Machine.room_for_packed ctx.Ctx.machine (Program.counts_packed p to_) op)
   then raise (Fail No_room);
   (* 4. move-past-read and same-destination conflicts *)

@@ -298,6 +298,37 @@ let test_post_respects_machine () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "POST must preserve semantics"
 
+(* A body whose best-ranked ops each need a rename to move up.  A
+   renaming move leaves a copy behind, so breaking by renaming never
+   shrinks the node and can go on forever; breaking must refuse
+   renames.  The deadline turns a hang into a failure. *)
+let test_post_breaking_terminates () =
+  let kern =
+    Workloads.Synthetic.generate
+      {
+        Workloads.Synthetic.seed = 869289;
+        n_ops = 10;
+        n_arrays = 1;
+        p_load = 0x1.23e8f02b3e058p-2;
+        p_store = 0x1.28191087f054fp-4;
+        p_recurrence = 0x1.872ea47559509p-2;
+      }
+  in
+  let machine = Machine.homogeneous 2 in
+  List.iter
+    (fun horizon ->
+      let budget = Grip_robust.Budget.make ~deadline:20.0 () in
+      let o =
+        Grip.Pipeline.run kern ~machine ~method_:Grip.Pipeline.Post ~horizon
+          ~budget
+      in
+      check_wf o.Grip.Pipeline.program;
+      Alcotest.(check bool) "fits" true (fits_everywhere machine o.Grip.Pipeline.program);
+      match Grip.Pipeline.check o with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.failf "horizon %d: POST must preserve semantics" horizon)
+    [ 3; 6 ]
+
 let test_unifiable_schedules () =
   let machine = Machine.homogeneous 2 in
   let o =
@@ -516,6 +547,8 @@ let () =
       ( "baselines",
         [
           Alcotest.test_case "POST respects machine" `Quick test_post_respects_machine;
+          Alcotest.test_case "POST breaking terminates" `Quick
+            test_post_breaking_terminates;
           Alcotest.test_case "Unifiable schedules" `Quick test_unifiable_schedules;
           Alcotest.test_case "Unifiable set" `Quick test_unifiable_set_excludes_chained;
         ] );

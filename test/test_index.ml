@@ -1,10 +1,11 @@
-(* Index-coherence oracle: the per-node legality indexes, the
-   incrementally maintained predecessor table, the counts-based
-   resource accounting and the memoized legality verdicts must be
-   observationally identical to the retained list-scanning ("naive")
-   implementations — on random programs and across random mutation
-   sequences.  Real schedules are pinned by the 126-cell digest check
-   over the Table 1 artifact (bench/dune, in `dune runtest`). *)
+(* Derived-state oracle: Program's flat stores, the incrementally
+   maintained predecessor table, the packed-counts resource accounting
+   and the memoized legality verdicts must be observationally identical
+   to the retained list-scanning ("naive") implementations — on random
+   programs and across random mutation sequences — and the coherence
+   check itself must name a corrupted store.  Real schedules are
+   pinned by the 126-cell digest check over the Table 1 artifact
+   (bench/dune, in `dune runtest`). *)
 
 open Vliw_ir
 module Machine = Vliw_machine.Machine
@@ -107,62 +108,61 @@ let prop_legality_equiv =
       done;
       !ok)
 
-(* 2. counts-based resource accounting == op-list scans, on every node
-   of scheduled programs, for every machine shape. *)
+(* [fits] by op-list scan: the reference for [Machine.fits_packed]. *)
+let fits_scan (m : Machine.t) (n : Node.t) =
+  let used cls =
+    List.length
+      (List.filter
+         (fun o -> Machine.counted m o && Machine.class_of o = cls)
+         (Node.all_ops n))
+  in
+  match m.Machine.shape with
+  | Machine.Unlimited -> true
+  | Machine.Homogeneous k -> Machine.slot_demand_scan m n <= k
+  | Machine.Typed { alu; mem; branch } ->
+      used Machine.Alu <= alu && used Machine.Mem <= mem
+      && used Machine.Branch <= branch
+
+(* 2. the packed-counts resource accounting the schedulers use ==
+   op-list scans, on every node of GRiP- and POST-scheduled programs,
+   for every machine shape. *)
 let prop_room_for_equiv =
   QCheck2.Test.make ~name:"counts-based room_for == scan" ~count:30
     ~print:print_spec spec_gen (fun spec ->
       let kern = Synthetic.generate spec in
-      let o =
-        Grip.Pipeline.run kern ~machine:(Machine.homogeneous 2)
-          ~method_:Grip.Pipeline.Grip ~horizon:6
-      in
-      let p = o.Grip.Pipeline.program in
-      let probe_ops =
-        List.concat_map
-          (fun nid ->
-            if Program.is_exit p nid then []
-            else Node.all_ops (Program.node p nid))
-          (Program.rpo p)
-      in
       List.for_all
-        (fun m ->
+        (fun method_ ->
+          let o =
+            Grip.Pipeline.run kern ~machine:(Machine.homogeneous 2) ~method_
+              ~horizon:6
+          in
+          let p = o.Grip.Pipeline.program in
+          let probe_ops =
+            List.concat_map
+              (fun nid ->
+                if Program.is_exit p nid then []
+                else Node.all_ops (Program.node p nid))
+              (Program.rpo p)
+          in
           List.for_all
-            (fun nid ->
-              Program.is_exit p nid
-              ||
-              let n = Program.node p nid in
-              Machine.slot_demand m n = Machine.slot_demand_scan m n
-              && List.for_all
-                   (fun op -> Machine.room_for m n op = Machine.room_for_scan m n op)
-                   probe_ops)
-            (Program.rpo p))
-        machines)
-
-(* 3. memoized tree queries == direct Ctree traversals. *)
-let prop_path_memo_equiv =
-  QCheck2.Test.make ~name:"memoized path queries == Ctree" ~count:30
-    ~print:print_spec spec_gen (fun spec ->
-      let kern = Synthetic.generate spec in
-      let o =
-        Grip.Pipeline.run kern ~machine:(Machine.homogeneous 4)
-          ~method_:Grip.Pipeline.Grip ~horizon:6
-      in
-      let p = o.Grip.Pipeline.program in
-      List.for_all
-        (fun nid ->
-          Program.is_exit p nid
-          ||
-          let n = Program.node p nid in
-          Node.succs n = Node.succs_scan n
-          && List.for_all
-               (fun s ->
-                 (* twice: second call must come from the memo table *)
-                 Node.path_to n s = Ctree.path_to n.Node.ctree s
-                 && Node.path_to n s = Ctree.path_to n.Node.ctree s
-                 && Node.all_paths_to n s = Ctree.all_paths_to n.Node.ctree s)
-               (Node.succs n))
-        (Program.rpo p))
+            (fun m ->
+              List.for_all
+                (fun nid ->
+                  Program.is_exit p nid
+                  ||
+                  let n = Program.node p nid in
+                  let packed = Program.counts_packed p nid in
+                  Machine.slot_demand_packed m packed
+                  = Machine.slot_demand_scan m n
+                  && Machine.fits_packed m packed = fits_scan m n
+                  && List.for_all
+                       (fun op ->
+                         Machine.room_for_packed m packed op
+                         = Machine.room_for_scan m n op)
+                       probe_ops)
+                (Program.rpo p))
+            machines)
+        [ Grip.Pipeline.Grip; Grip.Pipeline.Post ])
 
 (* 5. tombstoned int-array predecessor table == a naive list model.
    The model recomputes, from nothing but each node's tree, who points
@@ -312,6 +312,48 @@ let prop_pipeline_coherent =
           Program.check_derived_state o.Grip.Pipeline.program = None)
         [ Grip.Pipeline.Grip; Grip.Pipeline.Grip_no_gap; Grip.Pipeline.Post ])
 
+(* 7. the derived-state check catches corruption: break one store at a
+   time on a small program and check that the reason names the store
+   and the node or op, then that undoing the damage makes it coherent
+   again. *)
+let corrupted_store_named () =
+  let p =
+    Builder.straight
+      [
+        Operation.Copy (Reg.of_int 0, Operand.Imm (Value.I 1));
+        Operation.Copy (Reg.of_int 1, Operand.Imm (Value.I 2));
+      ]
+  in
+  let coherent what =
+    Alcotest.(check (option string)) what None (Program.check_derived_state p)
+  in
+  coherent "pristine";
+  let nid =
+    List.find
+      (fun id -> (not (Program.is_exit p id)) && (Program.node p id).Node.ops <> [])
+      (Program.rpo p)
+  in
+  let op_id = (List.hd (Program.node p nid).Node.ops).Operation.id in
+  let corrupt tbl v ~want =
+    let saved = Itbl.get tbl nid in
+    Itbl.set tbl nid (v saved);
+    Alcotest.(check (option string)) want (Some want)
+      (Program.check_derived_state p);
+    Itbl.set tbl nid saved;
+    coherent ("restored after " ^ want)
+  in
+  corrupt p.Program.node_counts (fun c -> c + 1)
+    ~want:(Printf.sprintf "node_counts mismatch at n%d" nid);
+  corrupt p.Program.succs_tbl (fun s -> nid :: s)
+    ~want:(Printf.sprintf "succs_tbl mismatch at n%d" nid);
+  let home = Itbl.get p.Program.op_home op_id in
+  Itbl.set p.Program.op_home op_id p.Program.exit_id;
+  Alcotest.(check (option string)) "op_home"
+    (Some (Printf.sprintf "op_home mismatch for op %d at n%d" op_id nid))
+    (Program.check_derived_state p);
+  Itbl.set p.Program.op_home op_id home;
+  coherent "restored after op_home"
+
 let () =
   if Sys.getenv_opt "QCHECK_SEED" = None then Unix.putenv "QCHECK_SEED" "20260704";
   let qsuite =
@@ -319,7 +361,6 @@ let () =
       [
         prop_legality_equiv;
         prop_room_for_equiv;
-        prop_path_memo_equiv;
         prop_preds_list_model;
         prop_pipeline_coherent;
       ]
@@ -330,4 +371,7 @@ let () =
       ( "flat",
         [ Alcotest.test_case "flat accessors == naive scans" `Quick
             flat_accessors_agree ] );
+      ( "oracle",
+        [ Alcotest.test_case "corrupted store is named" `Quick
+            corrupted_store_named ] );
     ]
